@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager, suppress
 
 from .consistency import (
     ConsistencyScorer,
@@ -196,6 +198,31 @@ def _resolve_outputs(documents, outputs_path: str | None) -> list[str]:
     return [d.output for d in documents]
 
 
+@contextmanager
+def _replacing(path: str):
+    """Write handle for ``path`` that leaves ``path`` as it was unless the
+    block completes.
+
+    Text goes to a new file next to ``path``, which replaces ``path`` only
+    when the block exits normally; on any failure it is removed.  A file
+    that cannot be written or put in place is a data error.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        handle = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path!r}: {exc}") from None
+    try:
+        with handle:
+            yield handle
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path!r}: {exc}") from None
+    finally:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 def _cmd_decode(args) -> int:
     documents = load_jsonl(args.corpus)
     try:
@@ -211,9 +238,12 @@ def _cmd_decode(args) -> int:
         raise UsageError(str(exc)) from None
     scorer = _make_scorer(args)
 
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with _replacing(args.out) as handle:
         for doc in documents:
-            result = beam_search(lm, doc.input, config, scorer)
+            try:
+                result = beam_search(lm, doc.input, config, scorer)
+            except KeyError as exc:
+                raise DataError(f"document {doc.id!r}: {exc}") from None
             record = {
                 "id": doc.id,
                 "output": result.text,
@@ -233,12 +263,12 @@ def _cmd_eval(args) -> int:
     scorer = _make_scorer(args)
     try:
         report = evaluate_corpus(documents, outputs, scorer)
-    except ValueError as exc:
+    except (ValueError, KeyError) as exc:
         raise DataError(str(exc)) from None
-    sys.stdout.write(report_table(report))
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
+        with _replacing(args.report) as handle:
             handle.write(report_tsv(report))
+    sys.stdout.write(report_table(report))
     return 0
 
 
@@ -282,37 +312,22 @@ def _cmd_score(args) -> int:
         entities = sets[args.entities_id]
 
     try:
-        if entities is None:
-            score = score_candidate(
-                [args.candidate], args.source, scorer, heuristic_on
-            )
-            unsupported = (
-                unsupported_entities(args.candidate, args.source)
-                if heuristic_on
-                else set()
-            )
-        else:
-            score = score_candidate(
-                [args.candidate], args.source, scorer, heuristic_on=False
-            )
-            unsupported = (
-                unsupported_entities(
-                    args.candidate, args.source, candidate_entities=entities
-                )
-                if heuristic_on
-                else set()
-            )
-            if unsupported:
-                score = type(score)(
-                    f_f=score.f_f,
-                    f_b=score.f_b,
-                    r_f=score.r_f,
-                    r_b=score.r_b,
-                    r=0.0,
-                    hallucination_zeroed=True,
-                )
+        score = score_candidate(
+            [args.candidate],
+            args.source,
+            scorer,
+            heuristic_on,
+            candidate_entities=entities,
+        )
     except (ValueError, KeyError) as exc:
         raise DataError(str(exc)) from None
+    unsupported = (
+        unsupported_entities(
+            args.candidate, args.source, candidate_entities=entities
+        )
+        if score.hallucination_zeroed
+        else set()
+    )
 
     print(f"f_F = {score.f_f:.4f}")
     print(f"f_B = {score.f_b:.4f}")
@@ -419,7 +434,7 @@ def _cmd_judge_prompt(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _replacing(args.out) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

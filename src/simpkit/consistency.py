@@ -13,15 +13,22 @@ import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .textseg import contains_token_span, extract_entities, word_tokens
+from .textseg import (
+    contains_token_span,
+    entity_mentions,
+    tokenize,
+    word_tokens,
+)
 
 __all__ = [
     "CONSISTENT_FLOOR",
     "ConsistencyScorer",
     "LexicalScorer",
     "PrecomputedScorer",
+    "PreparedSource",
+    "prepare_source",
     "lexical_score",
     "consistency_subscore",
     "unsupported_entities",
@@ -66,6 +73,55 @@ class ConsistencyScorer(ABC):
         """Return a consistency score in [0, 1]."""
 
 
+class PreparedSource:
+    """One source text, tokenized once, with what scoring reads from it.
+
+    Holds the case-folded word tokens in order, their distinct kinds in
+    order of first appearance, and a table filled on demand with each
+    candidate token's trigram similarity to every source kind, from which
+    the lexical scorer takes both its precision and its recall terms.  The
+    table only memoizes a pure function of its key, so sharing one instance
+    between callers changes no result.
+    """
+
+    def __init__(self, text: str):
+        self.words = tuple(tokenize(text).word_surfaces(lowercase=True))
+        self.kinds = tuple(dict.fromkeys(self.words))
+        self._position = {kind: i for i, kind in enumerate(self.kinds)}
+        self.kind_positions = tuple(self._position[w] for w in self.words)
+        self._similarities: dict[str, tuple[float, ...]] = {}
+
+    def similarities(self, token: str) -> tuple[float, ...]:
+        """Trigram similarity of ``token`` to each source kind, in the
+        order of :attr:`kinds`."""
+        row = self._similarities.get(token)
+        if row is None:
+            row = tuple(_token_similarity(token, kind) for kind in self.kinds)
+            self._similarities[token] = row
+        return row
+
+    def unsupported(self, mentions: Mapping[str, Sequence[str]]) -> set[str]:
+        """Mentions whose words do not occur contiguously
+        (case-insensitively) in the source words."""
+        missing = set()
+        for mention, words in mentions.items():
+            if len(words) == 1:
+                supported = words[0].lower() in self._position
+            else:
+                supported = contains_token_span(self.words, words)
+            if not supported:
+                missing.add(mention)
+        return missing
+
+
+@lru_cache(maxsize=32)
+def prepare_source(source: str) -> PreparedSource:
+    """The :class:`PreparedSource` of ``source``, kept for the 32 most
+    recently used sources, so one decode or one corpus row tokenizes its
+    source once however many candidates are scored against it."""
+    return PreparedSource(source)
+
+
 class LexicalScorer(ConsistencyScorer):
     """Greedy token-matching F1 under character-trigram cosine similarity.
 
@@ -79,19 +135,19 @@ class LexicalScorer(ConsistencyScorer):
         cand = word_tokens(candidate, lowercase=True)
         if not cand:
             raise ValueError("candidate has no word tokens")
-        src = word_tokens(source, lowercase=True)
-        if not src:
+        prepared = prepare_source(source)
+        if not prepared.words:
             return 0.0
-        cand_kinds = set(cand)
-        src_kinds = set(src)
-        precision = sum(
-            max(_token_similarity(tok, other) for other in src_kinds)
-            for tok in cand
-        ) / len(cand)
-        recall = sum(
-            max(_token_similarity(tok, other) for other in cand_kinds)
-            for tok in src
-        ) / len(src)
+        # Similarity is symmetric, so one row per candidate kind serves
+        # both directions: a row's maximum is that token's precision term,
+        # a column's maximum over the rows is that source kind's recall
+        # term.  Sums run over tokens in text order, as the definition does.
+        rows = {tok: prepared.similarities(tok) for tok in cand}
+        precision = sum(max(rows[tok]) for tok in cand) / len(cand)
+        recall_of = [max(column) for column in zip(*rows.values())]
+        recall = sum(recall_of[i] for i in prepared.kind_positions) / len(
+            prepared.words
+        )
         if precision + recall == 0:
             return 0.0
         f1 = 2 * precision * recall / (precision + recall)
@@ -191,12 +247,7 @@ def unsupported_entities(
     externally supplied entity list instead.
     """
     if candidate_entities is None:
-        entities = extract_entities(candidate)
+        mentions = entity_mentions(tokenize(candidate))
     else:
-        entities = set(candidate_entities)
-    source_words = word_tokens(source, lowercase=True)
-    return {
-        entity
-        for entity in entities
-        if not contains_token_span(source_words, word_tokens(entity))
-    }
+        mentions = {e: word_tokens(e) for e in set(candidate_entities)}
+    return prepare_source(source).unsupported(mentions)

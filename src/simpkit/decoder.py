@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .consistency import ConsistencyScorer, LexicalScorer
-from .rerank import BeamScore, rank_beams, score_candidate
+from .rerank import BeamScore, RankedBeam, rank_beams, score_candidate
 from .textseg import word_tokens
 from .ulloss import StepDistribution
 
@@ -342,7 +342,10 @@ def beam_search(
             break
         if config.rerank_enabled and step % config.rerank_interval == 0:
             rerank_steps.append(step)
-            kept = _rerank_prune(candidates, vocab, source, counting, config)
+            ranked = _rank_pool(
+                candidates, vocab, source, counting, config, config.beam_width
+            )
+            kept = [beam for beam, _ in ranked]
         else:
             candidates.sort(key=log_key)
             kept = candidates[: config.beam_width]
@@ -368,25 +371,17 @@ def beam_search(
 
     fallback_used = False
     if config.rerank_enabled:
-        pairs = [(_stripped(b, vocab), b.log_prob) for b in pool]
-        beam_of = {words: b for (words, _), b in zip(pairs, pool)}
-        ranked = rank_beams(
-            pairs, source, counting, heuristic_on=config.heuristic_on
-        )
+        ranked = _rank_pool(pool, vocab, source, counting, config)
         if config.heuristic_on and all(
-            rb.score.hallucination_zeroed for rb in ranked
+            rb.score.hallucination_zeroed for _, rb in ranked
         ):
             fallback_used = True
             best_beam = min(pool, key=log_key)
-            best_words = _stripped(best_beam, vocab)
-            best_score = next(
-                rb.score for rb in ranked if rb.words == best_words
-            )
+            best_score = next(rb.score for b, rb in ranked if b is best_beam)
         else:
-            top = ranked[0]
-            best_beam = beam_of[top.words]
-            best_words = top.words
+            best_beam, top = ranked[0]
             best_score = top.score
+        best_words = _stripped(best_beam, vocab)
     else:
         best_beam = min(pool, key=log_key)
         best_words = _stripped(best_beam, vocab)
@@ -405,20 +400,26 @@ def beam_search(
     )
 
 
-def _rerank_prune(
-    candidates: list[_Beam],
+def _rank_pool(
+    pool: list[_Beam],
     vocab: tuple[str, ...],
     source: str,
     scorer: ConsistencyScorer,
     config: DecoderConfig,
-) -> list[_Beam]:
-    pairs = [(_stripped(b, vocab), b.log_prob) for b in candidates]
-    beam_of = {words: b for (words, _), b in zip(pairs, candidates)}
+    top_n: int | None = None,
+) -> list[tuple[_Beam, RankedBeam]]:
+    """:func:`rank_beams` over ``pool``, each ranked entry paired with the
+    beam it came from.
+
+    Ranking sees only the words without a trailing EOS, so two beams that
+    differ by that EOS alone would be indistinguishable.  That cannot
+    happen: no beam in a pool that ends in EOS is longer than one that does
+    not, so its words without the EOS are strictly shorter.
+    """
+    pairs = [(_stripped(b, vocab), b.log_prob) for b in pool]
+    beam_of = {words: b for (words, _), b in zip(pairs, pool)}
+    assert len(beam_of) == len(pool), "stripped words map to several beams"
     ranked = rank_beams(
-        pairs,
-        source,
-        scorer,
-        heuristic_on=config.heuristic_on,
-        top_n=min(config.beam_width, len(pairs)),
+        pairs, source, scorer, heuristic_on=config.heuristic_on, top_n=top_n
     )
-    return [beam_of[rb.words] for rb in ranked]
+    return [(beam_of[rb.words], rb) for rb in ranked]

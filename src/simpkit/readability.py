@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping
 
-from .textseg import count_syllables, tokenize
+from .textseg import TokenList, count_syllables, tokenize
 
 __all__ = [
     "FK_WORDS_PER_SENTENCE",
@@ -27,8 +27,9 @@ __all__ = [
     "SIMPLE_GRADE",
     "COMPLEX_GRADE",
     "flesch_kincaid",
-    "flesch_kincaid_words",
+    "flesch_kincaid_tokens",
     "ari",
+    "ari_tokens",
     "word_fk",
     "readability_subscore",
     "FkWeightTable",
@@ -57,7 +58,11 @@ def flesch_kincaid(text: str) -> float:
         >>> round(flesch_kincaid("The cat sat on the mat."), 2)
         -1.45
     """
-    tl = tokenize(text)
+    return flesch_kincaid_tokens(tokenize(text))
+
+
+def flesch_kincaid_tokens(tl: TokenList) -> float:
+    """:func:`flesch_kincaid` of an already tokenized text."""
     words = tl.words()
     if not words:
         raise ValueError("flesch_kincaid needs at least one word token")
@@ -70,11 +75,6 @@ def flesch_kincaid(text: str) -> float:
     )
 
 
-def flesch_kincaid_words(words: Iterable[str]) -> float:
-    """Flesch-Kincaid grade of a plain word sequence (joined by spaces)."""
-    return flesch_kincaid(" ".join(words))
-
-
 def ari(text: str) -> float:
     """Automated readability index of ``text``.
 
@@ -85,7 +85,11 @@ def ari(text: str) -> float:
         >>> round(ari("a"), 2)
         -16.22
     """
-    tl = tokenize(text)
+    return ari_tokens(tokenize(text))
+
+
+def ari_tokens(tl: TokenList) -> float:
+    """:func:`ari` of an already tokenized text."""
     words = tl.words()
     if not words:
         raise ValueError("ari needs at least one word token")

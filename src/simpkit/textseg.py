@@ -37,6 +37,7 @@ __all__ = [
     "count_syllables",
     "word_tokens",
     "extract_ngrams",
+    "entity_mentions",
     "extract_entities",
     "entity_word_positions",
     "contains_token_span",
@@ -317,13 +318,33 @@ def extract_entities(
         >>> sorted(extract_entities("Treated with Aspirin in 1999."))
         ['1999', 'Aspirin']
     """
-    tl = tokenize(text)
+    return set(
+        entity_mentions(
+            tokenize(text), sentence_position_aware=sentence_position_aware
+        )
+    )
+
+
+def entity_mentions(
+    tl: TokenList, *, sentence_position_aware: bool = True
+) -> dict[str, tuple[str, ...]]:
+    """The entity mentions of :func:`extract_entities` over a tokenized
+    text, each mapped to ``word_tokens(mention)``.
+
+    A mention is one token, or word tokens joined by single spaces, and a
+    token re-tokenizes to itself on its own, so the word surfaces come from
+    ``tl`` without tokenizing the mention again.  A numeric token that is
+    not a word token (its first digit is not ASCII) has no word surfaces.
+    """
     spans, singles = _all_entity_token_indices(tl, sentence_position_aware)
-    entities = {
-        " ".join(tl.tokens[i].surface for i in span) for span in spans
-    }
-    entities.update(tl.tokens[i].surface for i in singles)
-    return entities
+    mentions = {}
+    for span in spans:
+        words = tuple(tl.tokens[i].surface for i in span)
+        mentions[" ".join(words)] = words
+    for i in singles:
+        tok = tl.tokens[i]
+        mentions[tok.surface] = (tok.surface,) if tok.is_word else ()
+    return mentions
 
 
 def entity_word_positions(

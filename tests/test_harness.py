@@ -111,6 +111,93 @@ def test_eval_without_outputs_anywhere(tmp_path, capsys):
     assert "decode first" in capsys.readouterr().err
 
 
+def _one_line_scores(tmp_path):
+    path = str(tmp_path / "scores.tsv")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("nurses can use\t0.9\n")
+    return path
+
+
+def test_decode_missing_precomputed_score_is_a_data_error(
+    corpus_path, tmp_path, capsys
+):
+    out = tmp_path / "o.jsonl"
+    rc = run_cli([
+        "decode", "--corpus", corpus_path, "--out", str(out),
+        "--scorer", "precomputed", "--scores", _one_line_scores(tmp_path),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: document 'd1': ")
+    assert "no precomputed score" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_failed_decode_leaves_out_as_it_was(corpus_path, tmp_path):
+    out = tmp_path / "o.jsonl"
+    out.write_text('{"id": "old"}\n', encoding="utf-8")
+    rc = run_cli([
+        "decode", "--corpus", corpus_path, "--out", str(out),
+        "--scorer", "precomputed", "--scores", _one_line_scores(tmp_path),
+    ])
+    assert rc == 2
+    assert out.read_text(encoding="utf-8") == '{"id": "old"}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "corpus.jsonl", "o.jsonl", "scores.tsv",
+    ]
+
+
+def test_decode_replaces_out_on_success(corpus_path, tmp_path):
+    out = tmp_path / "o.jsonl"
+    out.write_text("stale\n" * 10, encoding="utf-8")
+    rc = run_cli([
+        "decode", "--corpus", corpus_path, "--out", str(out),
+        "--max-length", "4",
+    ])
+    assert rc == 0
+    ids = [json.loads(line)["id"] for line in out.read_text().splitlines()]
+    assert ids == ["d1", "d2"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "corpus.jsonl", "o.jsonl",
+    ]
+
+
+@pytest.mark.parametrize("target", ["nodir/o.jsonl", "."])
+def test_unwritable_out_is_a_data_error(corpus_path, tmp_path, capsys, target):
+    out = str(tmp_path / target)
+    rc = run_cli(["decode", "--corpus", corpus_path, "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+
+def test_unwritable_report_is_a_data_error(tmp_path, capsys):
+    corpus = str(tmp_path / "decoded_corpus.jsonl")
+    dump_jsonl([doc.with_output(doc.label) for doc in _DOCS], corpus)
+    report = str(tmp_path / "nodir" / "report.tsv")
+    rc = run_cli(["eval", "--corpus", corpus, "--report", report])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write")
+    assert captured.out == ""
+
+
+def test_eval_missing_precomputed_score_is_a_data_error(tmp_path, capsys):
+    corpus = str(tmp_path / "decoded_corpus.jsonl")
+    dump_jsonl([doc.with_output(doc.label) for doc in _DOCS], corpus)
+    rc = run_cli([
+        "eval", "--corpus", corpus,
+        "--scorer", "precomputed", "--scores", _one_line_scores(tmp_path),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "no precomputed score" in err
+
+
 def test_score_direct_mode(capsys):
     assert run_cli(["score", "--fk", "12.0", "--fb", "0.84"]) == 0
     out = capsys.readouterr().out
@@ -139,6 +226,31 @@ def test_score_textual_heuristic_off(capsys):
         "--source", "took a pill today", "--no-hallucination-heuristic",
     ])
     assert rc == 0
+    assert "hallucination_zeroed = false" in capsys.readouterr().out
+
+
+def test_score_with_entity_file_zeroes_once(tmp_path, capsys):
+    entities = tmp_path / "entities.tsv"
+    entities.write_text("c1\tAdvil\tpill\nc2\tpill\n", encoding="utf-8")
+    base = [
+        "score", "--candidate", "took Aspirin today",
+        "--source", "took a pill today", "--entities-file", str(entities),
+    ]
+    assert run_cli(base + ["--entities-id", "c1"]) == 0
+    out = capsys.readouterr().out
+    assert "hallucination_zeroed = true" in out
+    assert "unsupported_entities = Advil" in out
+    assert "r = 0.0000" in out
+
+    # the listed entities replace extraction: Aspirin is not checked
+    assert run_cli(base + ["--entities-id", "c2"]) == 0
+    out = capsys.readouterr().out
+    assert "hallucination_zeroed = false" in out
+    assert "unsupported_entities" not in out
+
+    assert run_cli(
+        base + ["--entities-id", "c1", "--no-hallucination-heuristic"]
+    ) == 0
     assert "hallucination_zeroed = false" in capsys.readouterr().out
 
 

@@ -11,7 +11,6 @@ from simpkit.readability import (
     FkWeightTable,
     ari,
     flesch_kincaid,
-    flesch_kincaid_words,
     readability_subscore,
     word_fk,
 )
@@ -34,11 +33,6 @@ def test_flesch_kincaid_longer_words_raise_grade():
     assert flesch_kincaid("comprehensive hemorrhage evaluation") > flesch_kincaid(
         "the quick brown fox"
     )
-
-
-def test_flesch_kincaid_words_joins():
-    words = ["the", "cat", "sat"]
-    assert flesch_kincaid_words(words) == flesch_kincaid("the cat sat")
 
 
 def test_ari_frozen():
