@@ -18,7 +18,6 @@ from .consistency import (
     LexicalScorer,
     PrecomputedScorer,
     consistency_subscore,
-    lexical_score,
     unsupported_entities,
 )
 from .corpus import DataError, Document, dump_jsonl, load_jsonl
@@ -61,7 +60,6 @@ from .textseg import (
     count_syllables,
     extract_entities,
     extract_ngrams,
-    split_sentences,
     tokenize,
 )
 from .ulloss import (

@@ -29,7 +29,6 @@ __all__ = [
     "PrecomputedScorer",
     "PreparedSource",
     "prepare_source",
-    "lexical_score",
     "consistency_subscore",
     "unsupported_entities",
 ]
@@ -205,14 +204,6 @@ class PrecomputedScorer(ConsistencyScorer):
             raise KeyError(
                 f"no precomputed score for candidate key {key!r}"
             ) from None
-
-
-_DEFAULT_SCORER = LexicalScorer()
-
-
-def lexical_score(candidate: str, source: str) -> float:
-    """Module-level shortcut for :class:`LexicalScorer`."""
-    return _DEFAULT_SCORER.score(candidate, source)
 
 
 def consistency_subscore(f_b: float) -> float:

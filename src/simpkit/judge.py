@@ -9,6 +9,7 @@ made.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass
@@ -77,16 +78,23 @@ def build_judge_prompt(document: Document, summary: str) -> tuple[str, str]:
 def _default_transport(
     endpoint: str, payload: dict, timeout: float, api_key: str | None
 ) -> str:
-    import requests
+    # Imported here: urllib.request pulls in http.client and ssl, which
+    # cost every simpkit process several MB that only a judge call needs.
+    import urllib.request
 
-    headers = {}
+    headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    response = requests.post(
-        endpoint, json=payload, timeout=timeout, headers=headers
+    request = urllib.request.Request(
+        endpoint,
+        data=json.dumps(payload).encode("utf-8"),
+        headers=headers,
+        method="POST",
     )
-    response.raise_for_status()
-    return response.text
+    # A non-2xx reply raises urllib.error.HTTPError, which is retried.
+    with urllib.request.urlopen(request, timeout=timeout) as response:
+        charset = response.headers.get_content_charset() or "utf-8"
+        return response.read().decode(charset)
 
 
 def judge_request(

@@ -24,16 +24,17 @@ values are reproducible from this file alone:
 from __future__ import annotations
 
 import re
+import string
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "ABBREVIATIONS",
     "Token",
     "TokenList",
     "tokenize",
-    "split_sentences",
     "count_syllables",
     "word_tokens",
     "extract_ngrams",
@@ -53,7 +54,9 @@ _TOKEN_RE = re.compile(
 
 _NUMERIC_RE = re.compile(r"\d+(?:\.\d+)*\Z")
 
-_WORD_START_RE = re.compile(r"[A-Za-z0-9]")
+# A token is a word token when its first character is an ASCII letter or
+# digit.
+_WORD_START = frozenset(string.ascii_letters + string.digits)
 
 # Abbreviations whose trailing period does not end a sentence.  "etc." is
 # deliberately absent: it frequently does end one.
@@ -79,8 +82,7 @@ _VOWELS = frozenset("aeiouy")
 _SENTENCE_END = frozenset(".!?")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One token with its surface form, source offset and classification."""
 
     surface: str
@@ -148,54 +150,48 @@ def tokenize(text: str) -> TokenList:
         >>> [t.surface for t in tokenize("The cat sat.").tokens]
         ['The', 'cat', 'sat', '.']
     """
-    raw = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
-
-    boundary_after = []
-    for surface, start in raw:
-        end = start + len(surface)
-        is_boundary = (
-            surface in _SENTENCE_END
-            and (end == len(text) or text[end].isspace())
-            and not (surface == "." and _ends_abbreviation(text, end))
-        )
-        boundary_after.append(is_boundary)
-
     tokens: list[Token] = []
+    append = tokens.append
+    text_len = len(text)
     sentence_index = 0
     seen_word_in_sentence = False
-    for (surface, start), is_boundary in zip(raw, boundary_after):
-        is_word = bool(_WORD_START_RE.match(surface))
-        token = Token(
-            surface=surface,
-            start=start,
-            is_word=is_word,
-            is_numeric=bool(_NUMERIC_RE.match(surface)),
-            is_capitalized=surface[:1].isupper(),
-            sentence_index=sentence_index,
-            is_sentence_initial=is_word and not seen_word_in_sentence,
+    for match in _TOKEN_RE.finditer(text):
+        surface = match.group()
+        start = match.start()
+        first = surface[0]
+        is_word = first in _WORD_START
+        append(
+            Token(
+                surface,
+                start,
+                is_word,
+                _NUMERIC_RE.match(surface) is not None,
+                first.isupper(),
+                sentence_index,
+                is_word and not seen_word_in_sentence,
+            )
         )
-        tokens.append(token)
         if is_word:
             seen_word_in_sentence = True
-        if is_boundary:
-            sentence_index += 1
-            seen_word_in_sentence = False
+        elif surface in _SENTENCE_END:
+            # A sentence-ending mark is a one-character non-word token.
+            end = start + 1
+            if (end == text_len or text[end].isspace()) and not (
+                surface == "." and _ends_abbreviation(text, end)
+            ):
+                sentence_index += 1
+                seen_word_in_sentence = False
     return TokenList(text=text, tokens=tuple(tokens))
 
 
-def split_sentences(text: str) -> int:
-    """Number of sentences in ``text``: distinct sentence indices that
-    contain at least one word token.  Per-token indices live on
-    :func:`tokenize` output."""
-    return tokenize(text).sentence_count()
-
-
+@lru_cache(maxsize=4096)
 def count_syllables(word: str) -> int:
     """Heuristic syllable count for a single word.
 
     Maximal ``aeiouy`` groups, minus a final silent ``e`` that forms its own
     group (kept when the ``e`` closes a consonant-``le`` cluster, as in
-    "little"), floored at one.
+    "little"), floored at one.  Counts are memoized for the 4,096 most
+    recently used words; a non-word raises ``ValueError`` on every call.
 
     Example:
         >>> [count_syllables(w) for w in ("cat", "medicine", "understandability")]
@@ -223,8 +219,13 @@ def count_syllables(word: str) -> int:
 
 
 def word_tokens(text: str, lowercase: bool = False) -> list[str]:
-    """Word-token surfaces of ``text`` in order."""
-    return tokenize(text).word_surfaces(lowercase=lowercase)
+    """Word-token surfaces of ``text`` in order, the same as
+    ``tokenize(text).word_surfaces(lowercase)``: whether a token is a word
+    depends on its first character alone, so no :class:`Token` is built."""
+    surfaces = [s for s in _TOKEN_RE.findall(text) if s[0] in _WORD_START]
+    if lowercase:
+        return [s.lower() for s in surfaces]
+    return surfaces
 
 
 def extract_ngrams(tokens: Sequence[str], n: int) -> Counter[tuple[str, ...]]:

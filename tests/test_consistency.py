@@ -12,9 +12,10 @@ from simpkit.consistency import (
     LexicalScorer,
     PrecomputedScorer,
     consistency_subscore,
-    lexical_score,
     unsupported_entities,
 )
+
+_lexical = LexicalScorer().score
 
 _WORDS = st.lists(
     st.text(alphabet="abcdefgh", min_size=1, max_size=6), min_size=1, max_size=6
@@ -22,27 +23,27 @@ _WORDS = st.lists(
 
 
 def test_lexical_identity_is_exactly_one():
-    assert lexical_score("the cat sat", "the cat sat") == 1.0
-    assert lexical_score("The Cat", "the cat") == 1.0  # case-folded
+    assert _lexical("the cat sat", "the cat sat") == 1.0
+    assert _lexical("The Cat", "the cat") == 1.0  # case-folded
 
 
 def test_lexical_frozen_value():
     assert math.isclose(
-        lexical_score("the cats", "the cat"), 0.7887, abs_tol=5e-5
+        _lexical("the cats", "the cat"), 0.7887, abs_tol=5e-5
     )
 
 
 def test_lexical_disjoint_is_zero():
-    assert lexical_score("xyz", "qqq") == 0.0
+    assert _lexical("xyz", "qqq") == 0.0
 
 
 def test_lexical_empty_source_scores_zero():
-    assert lexical_score("the cat", "...") == 0.0
+    assert _lexical("the cat", "...") == 0.0
 
 
 def test_lexical_empty_candidate_raises():
     with pytest.raises(ValueError, match="no word tokens"):
-        lexical_score("...", "the cat")
+        _lexical("...", "the cat")
 
 
 @settings(max_examples=150)
@@ -59,13 +60,13 @@ def test_lexical_symmetric_and_bounded(a, b):
 @given(_WORDS)
 def test_lexical_identity_property(words):
     text = " ".join(words)
-    assert lexical_score(text, text) == 1.0
+    assert _lexical(text, text) == 1.0
 
 
 def test_token_multiplicity_matters():
     # repeated matched tokens keep precision high, unmatched ones drag it
-    good = lexical_score("dose dose dose", "dose")
-    bad = lexical_score("dose dose qqq", "dose")
+    good = _lexical("dose dose dose", "dose")
+    bad = _lexical("dose dose qqq", "dose")
     assert good == 1.0
     assert bad < 1.0
 

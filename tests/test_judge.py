@@ -1,5 +1,9 @@
 """Judge prompt freezing, reply parsing, and transport retry behavior."""
 
+import email.message
+import json
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -219,3 +223,77 @@ def test_judge_request_raises_after_three_failures(clean_env):
     assert naps == [0.5, 1.0]  # no sleep after the final attempt
     assert isinstance(info.value.__cause__, ConnectionError)
     assert "boom 3" in str(info.value)
+
+
+class _Reply:
+    """Stands in for the response ``urllib.request.urlopen`` returns."""
+
+    def __init__(self, body, content_type="application/json; charset=utf-8"):
+        self._body = body
+        self.headers = email.message.Message()
+        self.headers["Content-Type"] = content_type
+
+    def read(self):
+        return self._body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_default_transport_posts_json_with_stdlib(clean_env, monkeypatch):
+    sent = []
+
+    def fake_urlopen(request, timeout):
+        sent.append((request, timeout))
+        return _Reply("Yes. Why: the dose is wrong — 5 mg".encode("utf-8"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    reply = judge_request(
+        ("sys", "user"), endpoint="http://judge.test/api", timeout=7.5,
+        api_key="sk-test",
+    )
+    assert reply == "Yes. Why: the dose is wrong — 5 mg"
+    [(request, timeout)] = sent
+    assert timeout == 7.5
+    assert request.full_url == "http://judge.test/api"
+    assert request.get_method() == "POST"
+    assert json.loads(request.data) == {"system": "sys", "prompt": "user"}
+    assert request.get_header("Content-type") == "application/json"
+    assert request.get_header("Authorization") == "Bearer sk-test"
+
+
+def test_default_transport_sends_no_bearer_without_key(clean_env, monkeypatch):
+    sent = []
+
+    def fake_urlopen(request, timeout):
+        sent.append(request)
+        return _Reply(b"No")
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    assert judge_request(("s", "u"), endpoint="http://judge.test/api") == "No"
+    assert not sent[0].has_header("Authorization")
+
+
+def test_default_transport_retries_http_errors(clean_env, monkeypatch):
+    calls = []
+
+    def failing_urlopen(request, timeout):
+        calls.append(request)
+        raise urllib.error.HTTPError(
+            request.full_url, 503, "Service Unavailable",
+            email.message.Message(), None,
+        )
+
+    monkeypatch.setattr(urllib.request, "urlopen", failing_urlopen)
+    naps = []
+    with pytest.raises(JudgeError, match="failed after 3 attempts") as info:
+        judge_request(
+            ("s", "u"), endpoint="http://judge.test/api", sleep=naps.append
+        )
+    assert len(calls) == 3
+    assert naps == [0.5, 1.0]
+    assert isinstance(info.value.__cause__, urllib.error.HTTPError)
+    assert info.value.__cause__.code == 503

@@ -1,19 +1,21 @@
 """Tokenizer, sentence boundaries, syllables, n-grams, entity heuristics."""
 
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simpkit import textseg
 from simpkit.textseg import (
     ABBREVIATIONS,
+    Token,
     contains_token_span,
     count_syllables,
     entity_word_positions,
     extract_entities,
     extract_ngrams,
-    split_sentences,
     tokenize,
     word_tokens,
 )
@@ -38,7 +40,7 @@ def test_decimal_numerals_stay_single_tokens():
         ("ok", False, True),
     ]
     # the internal decimal point never ends a sentence
-    assert split_sentences("It was 0.73 then.") == 1
+    assert tokenize("It was 0.73 then.").sentence_count() == 1
 
 
 def test_apostrophe_and_hyphen_words():
@@ -54,24 +56,24 @@ def test_punctuation_single_character_tokens():
 
 
 def test_sentence_counts():
-    assert split_sentences("The cat sat. The dog ran.") == 2
-    assert split_sentences("One! Two? Three.") == 3
-    assert split_sentences("no terminal punctuation") == 1
-    assert split_sentences("a.b") == 1
+    assert tokenize("The cat sat. The dog ran.").sentence_count() == 2
+    assert tokenize("One! Two? Three.").sentence_count() == 3
+    assert tokenize("no terminal punctuation").sentence_count() == 1
+    assert tokenize("a.b").sentence_count() == 1
     # trailing wordless punctuation opens no countable sentence
-    assert split_sentences("Stop. !!!") == 1
-    assert split_sentences("") == 0
+    assert tokenize("Stop. !!!").sentence_count() == 1
+    assert tokenize("").sentence_count() == 0
 
 
 def test_abbreviations_suppress_boundaries():
     assert "dr." in ABBREVIATIONS and "etc." not in ABBREVIATIONS
-    assert split_sentences("Dr. Smith arrived. He left.") == 2
-    assert split_sentences("See e.g. the chart for details.") == 1
-    assert split_sentences("Results from Lee et al. support this.") == 1
+    assert tokenize("Dr. Smith arrived. He left.").sentence_count() == 2
+    assert tokenize("See e.g. the chart for details.").sentence_count() == 1
+    assert tokenize("Results from Lee et al. support this.").sentence_count() == 1
     # "etc." deliberately ends sentences
-    assert split_sentences("They ate cake, etc. Then they left.") == 2
+    assert tokenize("They ate cake, etc. Then they left.").sentence_count() == 2
     # suffix matches need their own word boundary: "coral." is not "al."
-    assert split_sentences("We saw coral. Reefs are nice.") == 2
+    assert tokenize("We saw coral. Reefs are nice.").sentence_count() == 2
 
 
 @settings(max_examples=200)
@@ -112,7 +114,8 @@ def test_count_syllables_frozen_values():
 
 def test_count_syllables_numerals_and_errors():
     assert count_syllables("123") == 1
-    for bad in ("", "...", "?!"):
+    # twice each: the memoized count caches no error
+    for bad in ("", ".", "...", "?!", "--") * 2:
         with pytest.raises(ValueError, match="not a word"):
             count_syllables(bad)
 
@@ -170,3 +173,125 @@ def test_contains_token_span():
     assert not contains_token_span(["a"], ["a", "b"])
     assert contains_token_span([], [])
     assert contains_token_span(["x"], [])
+
+
+# ------------------------------------------- one-pass tokenizer vs reference
+
+
+def _ends_abbreviation_ref(text, end):
+    lowered = text[:end].lower()
+    for abbr in ABBREVIATIONS:
+        if not lowered.endswith(abbr):
+            continue
+        before = end - len(abbr)
+        if before == 0 or not text[before - 1].isalnum():
+            return True
+    return False
+
+
+def _tokenize_ref(text):
+    """The two-pass tokenizer as first written, one field tuple per token:
+    (surface, start, is_word, is_numeric, is_capitalized, sentence_index,
+    is_sentence_initial)."""
+    raw = [(m.group(), m.start()) for m in textseg._TOKEN_RE.finditer(text)]
+    boundary_after = []
+    for surface, start in raw:
+        end = start + len(surface)
+        boundary_after.append(
+            surface in ".!?"
+            and (end == len(text) or text[end].isspace())
+            and not (surface == "." and _ends_abbreviation_ref(text, end))
+        )
+    tokens = []
+    sentence_index = 0
+    seen_word_in_sentence = False
+    for (surface, start), is_boundary in zip(raw, boundary_after):
+        is_word = bool(re.match(r"[A-Za-z0-9]", surface))
+        tokens.append((
+            surface,
+            start,
+            is_word,
+            bool(re.match(r"\d+(?:\.\d+)*\Z", surface)),
+            surface[:1].isupper(),
+            sentence_index,
+            is_word and not seen_word_in_sentence,
+        ))
+        if is_word:
+            seen_word_in_sentence = True
+        if is_boundary:
+            sentence_index += 1
+            seen_word_in_sentence = False
+    return tokens
+
+
+_PIECES = (
+    # abbreviations, with and without a capital, and "etc." which is not one
+    "e.g.", "E.g.", "i.e.", "Dr.", "dr.", "Mrs.", "al.", "et al.", "vs.",
+    "approx.", "etc.", "coral.", "No.", "fig.",
+    # decimals, dotted numerals, and non-ASCII digits
+    "0.73", "3.5.1", "12", "1999.", "٣", "٣.٥", "3.٥", "٣٣",
+    # apostrophe and hyphen words, letters outside ASCII
+    "don't", "it’s", "state-of-the-art", "x-", "-y", "Émile", "naïve",
+    # plain words
+    "The", "cat", "sat", "Smith", "York", "a", "B",
+    # punctuation, alone and in runs
+    ".", "!", "?", ",", ";", "...", "?!", "!!!", ".\"", "(", ")", "'", "-",
+)
+_SEPARATORS = st.sampled_from(["", " ", "  ", "\n", "\t", " \n "])
+_TEXTS = st.builds(
+    lambda lead, parts, trail: lead + "".join(parts) + trail,
+    _SEPARATORS,
+    st.lists(
+        st.tuples(st.sampled_from(_PIECES), _SEPARATORS).map("".join),
+        max_size=16,
+    ),
+    _SEPARATORS,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_TEXTS, st.text(alphabet=_ALPHABET, max_size=60)))
+def test_tokenize_equals_two_pass_reference(text):
+    got = tokenize(text)
+    want = _tokenize_ref(text)
+    assert got.text == text
+    assert len(got.tokens) == len(want)
+    for tok, ref in zip(got.tokens, want):
+        assert isinstance(tok, Token)
+        for field, value in zip(Token._fields, ref):
+            assert getattr(tok, field) == value, (field, tok)
+        assert tok.end == ref[1] + len(ref[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_TEXTS, st.text(max_size=40)), st.booleans())
+def test_word_tokens_equals_tokenize_word_surfaces(text, lowercase):
+    assert word_tokens(text, lowercase=lowercase) == tokenize(
+        text
+    ).word_surfaces(lowercase=lowercase)
+
+
+def test_token_is_an_immutable_named_tuple():
+    tok = tokenize("Hi").tokens[0]
+    assert tok == Token("Hi", 0, True, False, True, 0, True)
+    assert tok.end == 2
+    with pytest.raises(AttributeError):
+        tok.surface = "Ho"
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.sampled_from(_PIECES),
+    st.text(alphabet="aeiouyAEYlbcst-'9", min_size=1, max_size=12),
+))
+def test_cached_count_syllables_equals_uncached(word):
+    uncached = count_syllables.__wrapped__
+    try:
+        want = uncached(word)
+    except ValueError:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a word"):
+                count_syllables(word)
+        return
+    assert count_syllables(word) == want
+    assert count_syllables(word) == want

@@ -282,23 +282,21 @@ def tokenize_calls(monkeypatch):
     ],
     ids=["rerank_k5", "vanilla"],
 )
-def test_beam_search_tokenizes_each_candidate_at_most_twice(
-    tokenize_calls, config
-):
+def test_beam_search_tokenizes_each_candidate_once(tokenize_calls, config):
     example = make_examples(1)[0]
     lm = NGramLM.train(example.training_texts, order=2)
     tokenize_calls.clear()
     result = beam_search(lm, example.document.input, config)
-    # the candidate once in score_candidate and once in the scorer, plus
-    # one preparation of the source for the whole decode
+    # the candidate once in score_candidate (the scorer reads its words
+    # with word_tokens), plus one preparation of the source for the decode
     assert result.scorer_calls >= 1
-    assert len(tokenize_calls) <= 2 * result.scorer_calls + 1
+    assert len(tokenize_calls) <= result.scorer_calls + 1
 
 
 def test_evaluate_corpus_tokenizes_each_text_once(tokenize_calls):
     docs = _eval_docs()
     report = evaluate_corpus(docs, [d.label for d in docs], LexicalScorer())
     assert len(report.rows) == len(docs)
-    # output, input and label once each, and the output again inside the
-    # lexical scorer, which receives text
-    assert len(tokenize_calls) <= 5 * len(docs)
+    # output, input and label once each; the lexical scorer reads the
+    # output's words with word_tokens
+    assert len(tokenize_calls) <= 3 * len(docs)
