@@ -55,9 +55,21 @@ class UsageError(Exception):
     """Bad command line: unknown flags, missing flags, bad flag values."""
 
 
+class _HelpShown(Exception):
+    """``--help`` has printed the usage text."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        # Only --help gets here: error() raises before argparse would exit.
+        raise _HelpShown
+
+    def flag_types(self) -> dict:
+        """The ``type=`` converter of each flag that declares one."""
+        return {a.dest: a.type for a in self._actions if a.type is not None}
 
 
 def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
@@ -179,6 +191,7 @@ def build_parser() -> _Parser:
     prompts.add_argument("--config", default=None)
     prompts.set_defaults(func=_cmd_judge_prompt)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -344,7 +357,7 @@ def _cmd_loss(args) -> int:
     try:
         with open(args.steps, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read steps file {args.steps!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"steps file {args.steps!r}: invalid JSON: {exc}") from None
@@ -354,9 +367,9 @@ def _cmd_loss(args) -> int:
     vocab = payload.get("vocab")
     rows = payload.get("steps")
     if not isinstance(vocab, list) or not all(
-        isinstance(w, str) for w in vocab
+        isinstance(w, str) and w for w in vocab
     ):
-        raise DataError("steps file: vocab must be a list of strings")
+        raise DataError("steps file: vocab must be a list of non-empty strings")
     if not isinstance(rows, list) or not rows:
         raise DataError("steps file: steps must be a non-empty list of rows")
 
@@ -366,6 +379,8 @@ def _cmd_loss(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if args.nll is not None and not math.isfinite(args.nll):
+        raise UsageError(f"--nll must be finite, got {args.nll!r}")
 
     try:
         dists = [StepDistribution(row) for row in rows]
@@ -377,14 +392,29 @@ def _cmd_loss(args) -> int:
 
     nll = args.nll
     if nll is None and isinstance(payload.get("nll"), (int, float)):
-        nll = float(payload["nll"])
+        try:
+            nll = float(payload["nll"])
+        except OverflowError:  # a JSON integer beyond the float range
+            nll = math.inf
+        if not math.isfinite(nll):
+            raise DataError(f"steps file: nll must be finite, got {nll!r}")
     if nll is None and isinstance(payload.get("target"), list):
         index_of = {w: i for i, w in enumerate(vocab)}
         total = 0.0
         for step, word in enumerate(payload["target"]):
-            if step >= len(dists) or word not in index_of:
+            if (
+                step >= len(dists)
+                or not isinstance(word, str)
+                or word not in index_of
+            ):
                 raise DataError("steps file: bad target sequence")
-            total += -math.log(float(dists[step].probs[index_of[word]]))
+            p = float(dists[step].probs[index_of[word]])
+            if p == 0.0:
+                raise DataError(
+                    f"steps file: target {word!r} has probability 0 "
+                    f"at step {step}"
+                )
+            total += -math.log(p)
         nll = total
     if nll is None:
         raise DataError(
@@ -450,8 +480,12 @@ def run_cli(argv: list[str] | None = None) -> int:
             for key in _RESERVED_CONFIG_KEYS:
                 if key in settings:
                     raise DataError(f"unknown config key {key!r}")
-            apply_config_overrides(args, settings)
+            apply_config_overrides(
+                args, settings, parser.commands[args.command].flag_types()
+            )
         return args.func(args)
+    except _HelpShown:
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -65,6 +65,16 @@ def _field_string(record: dict, name: str, lineno: int, required: bool) -> str |
     return value
 
 
+def _read_lines(path: str, what: str) -> list[str]:
+    """Lines of a UTF-8 text file.  A file that cannot be opened, read or
+    decoded is a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} file {path!r}: {exc}") from None
+
+
 def load_jsonl(path: str) -> list[Document]:
     """Load a corpus file, enforcing the documented invariants.
 
@@ -73,33 +83,28 @@ def load_jsonl(path: str) -> list[Document]:
     """
     documents: list[Document] = []
     seen_ids: set[str] = set()
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read corpus file {path!r}: {exc}") from None
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                raise DataError(f"line {lineno}: empty line")
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise DataError(f"line {lineno}: expected a JSON object")
-            doc_id = _field_string(record, "id", lineno, required=True)
-            if doc_id in seen_ids:
-                raise DataError(f"line {lineno}: duplicate id {doc_id!r}")
-            seen_ids.add(doc_id)
-            documents.append(
-                Document(
-                    id=doc_id,
-                    input=_field_string(record, "input", lineno, required=True),
-                    label=_field_string(record, "label", lineno, required=True),
-                    output=_field_string(record, "output", lineno, required=False),
-                )
+    for lineno, line in enumerate(_read_lines(path, "corpus"), start=1):
+        stripped = line.strip()
+        if not stripped:
+            raise DataError(f"line {lineno}: empty line")
+        try:
+            record = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"line {lineno}: invalid JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise DataError(f"line {lineno}: expected a JSON object")
+        doc_id = _field_string(record, "id", lineno, required=True)
+        if doc_id in seen_ids:
+            raise DataError(f"line {lineno}: duplicate id {doc_id!r}")
+        seen_ids.add(doc_id)
+        documents.append(
+            Document(
+                id=doc_id,
+                input=_field_string(record, "input", lineno, required=True),
+                label=_field_string(record, "label", lineno, required=True),
+                output=_field_string(record, "output", lineno, required=False),
             )
+        )
     return documents
 
 
@@ -120,28 +125,23 @@ def load_outputs(path: str) -> dict[str, str]:
     example decode diagnostics) are ignored.
     """
     outputs: dict[str, str] = {}
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read outputs file {path!r}: {exc}") from None
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                raise DataError(f"line {lineno}: empty line")
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise DataError(f"line {lineno}: expected a JSON object")
-            doc_id = _field_string(record, "id", lineno, required=True)
-            if doc_id in outputs:
-                raise DataError(f"line {lineno}: duplicate id {doc_id!r}")
-            value = record.get("output")
-            if not isinstance(value, str):
-                raise DataError(f"line {lineno}: field output must be a string")
-            outputs[doc_id] = value
+    for lineno, line in enumerate(_read_lines(path, "outputs"), start=1):
+        stripped = line.strip()
+        if not stripped:
+            raise DataError(f"line {lineno}: empty line")
+        try:
+            record = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"line {lineno}: invalid JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise DataError(f"line {lineno}: expected a JSON object")
+        doc_id = _field_string(record, "id", lineno, required=True)
+        if doc_id in outputs:
+            raise DataError(f"line {lineno}: duplicate id {doc_id!r}")
+        value = record.get("output")
+        if not isinstance(value, str):
+            raise DataError(f"line {lineno}: field output must be a string")
+        outputs[doc_id] = value
     return outputs
 
 
@@ -152,22 +152,17 @@ def load_entity_sets(path: str) -> dict[str, tuple[str, ...]]:
     tuple.
     """
     entity_sets: dict[str, tuple[str, ...]] = {}
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read entity file {path!r}: {exc}") from None
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            doc_id = parts[0]
-            if not doc_id:
-                raise DataError(f"line {lineno}: empty id")
-            if doc_id in entity_sets:
-                raise DataError(f"line {lineno}: duplicate id {doc_id!r}")
-            entity_sets[doc_id] = tuple(p for p in parts[1:] if p)
+    for lineno, line in enumerate(_read_lines(path, "entity"), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        doc_id = parts[0]
+        if not doc_id:
+            raise DataError(f"line {lineno}: empty id")
+        if doc_id in entity_sets:
+            raise DataError(f"line {lineno}: duplicate id {doc_id!r}")
+        entity_sets[doc_id] = tuple(p for p in parts[1:] if p)
     return entity_sets
 
 
@@ -178,27 +173,22 @@ def parse_config_file(path: str) -> dict[str, str]:
     lines and ``#`` comment lines are skipped.
     """
     settings: dict[str, str] = {}
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path!r}: {exc}") from None
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise DataError(
-                    f"line {lineno}: expected key = value, got {stripped!r}"
-                )
-            key, _, value = stripped.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if not key:
-                raise DataError(f"line {lineno}: empty key")
-            if key in settings:
-                raise DataError(f"line {lineno}: duplicate key {key!r}")
-            settings[key] = value
+    for lineno, line in enumerate(_read_lines(path, "config"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise DataError(
+                f"line {lineno}: expected key = value, got {stripped!r}"
+            )
+        key, _, value = stripped.partition("=")
+        key = key.strip().replace("-", "_")
+        value = value.strip()
+        if not key:
+            raise DataError(f"line {lineno}: empty key")
+        if key in settings:
+            raise DataError(f"line {lineno}: duplicate key {key!r}")
+        settings[key] = value
     return settings
 
 
@@ -211,12 +201,15 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise DataError(f"config key {key!r}: expected a boolean, got {raw!r}")
 
 
-def apply_config_overrides(namespace, settings: dict[str, str]) -> None:
+def apply_config_overrides(
+    namespace, settings: dict[str, str], types: dict | None = None
+) -> None:
     """Apply parsed config settings onto an argparse namespace, in place.
 
     Values from the file override flag values.  Types follow the existing
-    attribute (bool, int, float, str); config keys that do not correspond to
-    an attribute raise DataError.
+    attribute (bool, int, float, str); an attribute that is still ``None``
+    takes the converter ``types`` gives for its key, else stays a string.
+    Config keys that do not correspond to an attribute raise DataError.
     """
     for key, raw in settings.items():
         if not hasattr(namespace, key):
@@ -230,7 +223,7 @@ def apply_config_overrides(namespace, settings: dict[str, str]) -> None:
             elif isinstance(current, float):
                 value = float(raw)
             else:
-                value = raw
+                value = (types or {}).get(key, str)(raw)
         except ValueError:
             raise DataError(
                 f"config key {key!r}: cannot parse value {raw!r}"

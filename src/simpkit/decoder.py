@@ -21,6 +21,7 @@ stripped before any text is built.
 
 from __future__ import annotations
 
+import heapq
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
@@ -141,13 +142,12 @@ class NGramLM(LanguageModel):
     ) -> StepDistribution:
         padded = [BOS] * (self.order - 1) + list(prefix)
         context = tuple(padded[len(padded) - (self.order - 1) :])
-        counter = self._counts.get(context, ())
-        total = sum(counter.values()) if counter else 0
-        size = len(self.vocab)
-        probs = [
-            (counter[w] + 1 if counter else 1) / (total + size)
-            for w in self.vocab
-        ]
+        counter = self._counts.get(context, {})
+        # Only the context's observed followers differ from 1 / (T + V).
+        denom = sum(counter.values()) + len(self.vocab)
+        probs = [1 / denom] * len(self.vocab)
+        for word, count in counter.items():
+            probs[self._index[word]] = (count + 1) / denom
         return StepDistribution(probs)
 
 
@@ -242,8 +242,10 @@ def _adjusted(log_prob: float, length: int, alpha: float) -> float:
 
 
 def _log_prob_key(config: DecoderConfig):
-    """Sort key for log-probability pruning: best adjusted log_prob first,
-    ties to the shorter sequence, then to the lower vocabulary indices."""
+    """Sort key for picking by log probability among beams of any length:
+    best adjusted log_prob first, ties to the shorter sequence, then to the
+    lower vocabulary indices.  Plain pruning steps use the same order on
+    key tuples (see :func:`beam_search`)."""
 
     def key(beam: _Beam):
         return (
@@ -314,6 +316,8 @@ def beam_search(
     counting = _CountingScorer(scorer if scorer is not None else LexicalScorer())
     vocab = tuple(lm.vocab)
     log_key = _log_prob_key(config)
+    alpha = config.length_penalty
+    bos = {v for v, word in enumerate(vocab) if word == BOS}
 
     active = [_Beam(indices=(), log_prob=0.0)]
     finished: list[_Beam] = []
@@ -324,31 +328,44 @@ def beam_search(
         if not active:
             break
         steps_run = step
-        candidates: list[_Beam] = []
+        # Plain pruning sorts (-adjusted log_prob, indices, log_prob) tuples.
+        # That is _log_prob_key's order: every candidate here has ``step``
+        # indices, so its length term is constant, and indices are unique,
+        # so no comparison reaches the trailing log_prob.
+        keyed: list[tuple[float, tuple[int, ...], float]] = []
         for beam in active:
+            assert len(beam.indices) == step - 1, "beam length out of step"
             prefix = tuple(vocab[i] for i in beam.indices)
             dist = lm.next_distribution(prefix, source)
             if len(dist) != len(vocab):
                 raise ValueError(
                     "distribution size does not match model vocab"
                 )
-            for v, p in enumerate(dist.probs):
-                if p <= 0.0 or vocab[v] == BOS:
+            for v, p in enumerate(dist.probs.tolist()):
+                if p <= 0.0 or v in bos:
                     continue
-                candidates.append(
-                    _Beam(beam.indices + (v,), beam.log_prob + math.log(p))
+                log_prob = beam.log_prob + math.log(p)
+                keyed.append(
+                    (
+                        -_adjusted(log_prob, step, alpha),
+                        beam.indices + (v,),
+                        log_prob,
+                    )
                 )
-        if not candidates:
+        if not keyed:
             break
         if config.rerank_enabled and step % config.rerank_interval == 0:
             rerank_steps.append(step)
+            candidates = [_Beam(indices, lp) for _, indices, lp in keyed]
             ranked = _rank_pool(
                 candidates, vocab, source, counting, config, config.beam_width
             )
             kept = [beam for beam, _ in ranked]
         else:
-            candidates.sort(key=log_key)
-            kept = candidates[: config.beam_width]
+            kept = [
+                _Beam(indices, lp)
+                for _, indices, lp in heapq.nsmallest(config.beam_width, keyed)
+            ]
         active = []
         for beam in kept:
             if vocab[beam.indices[-1]] == EOS:

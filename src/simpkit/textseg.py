@@ -76,6 +76,7 @@ ABBREVIATIONS = (
     "vol.",
     "approx.",
 )
+_ABBR_MAX = max(map(len, ABBREVIATIONS))
 
 _VOWELS = frozenset("aeiouy")
 
@@ -128,7 +129,10 @@ class TokenList:
 
 def _ends_abbreviation(text: str, end: int) -> bool:
     """True when the text ending at ``end`` spells a known abbreviation."""
-    lowered = text[:end].lower()
+    # Lower-casing maps each character to one or more characters (context
+    # only picks between the two non-ASCII lower sigmas), so the last
+    # _ABBR_MAX characters decide every match against these ASCII suffixes.
+    lowered = text[max(0, end - _ABBR_MAX) : end].lower()
     for abbr in ABBREVIATIONS:
         if not lowered.endswith(abbr):
             continue

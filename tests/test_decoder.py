@@ -1,12 +1,14 @@
 """Toy language models, greedy decoding, rerank-every-k beam search."""
 
+import dataclasses
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import beam_search_brute, random_table_lm
+from oracles import OracleDecode, beam_search_brute, random_table_lm
 from simpkit.decoder import (
     BOS,
     EOS,
@@ -16,6 +18,19 @@ from simpkit.decoder import (
     beam_search,
     greedy_decode,
 )
+from simpkit.synthetic import make_examples
+from simpkit.textseg import word_tokens
+
+
+def _assert_matches_oracle(lm, source, config):
+    got = beam_search(lm, source, config)
+    want = beam_search_brute(lm, source, config)
+    for field in dataclasses.fields(OracleDecode):
+        assert getattr(got, field.name) == getattr(want, field.name), (
+            field.name,
+            config,
+        )
+    return got
 
 
 def test_table_lm_lookup_default_and_errors():
@@ -285,12 +300,109 @@ def test_beam_search_matches_oracle_smoke():
             heuristic_on=rng.random() < 0.7,
             length_penalty=rng.choice((0.0, 0.0, 1.0)),
         )
-        got = beam_search(lm, source, config)
-        want = beam_search_brute(lm, source, config)
-        assert got.tokens == want.tokens
-        assert got.log_prob == want.log_prob
-        assert got.score == want.score
-        assert got.fallback_used == want.fallback_used
-        assert got.rerank_steps == want.rerank_steps
-        assert got.scorer_calls == want.scorer_calls
-        assert got.steps_run == want.steps_run
+        _assert_matches_oracle(lm, source, config)
+
+
+_NGRAM_CONFIGS = [
+    DecoderConfig.vanilla(beam_width=8, max_length=10, length_penalty=alpha)
+    for alpha in (0.0, 0.5, 1.0)
+] + [
+    DecoderConfig(
+        beam_width=3, rerank_interval=k, max_length=8, length_penalty=alpha
+    )
+    for k, alpha in ((2, 0.0), (3, 0.5), (5, 1.0))
+]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_beam_search_matches_oracle_on_ngram_models(order):
+    """Plain steps prune on key tuples; the oracle sorts whole candidates by
+    (adjusted log_prob, length, words).  Models trained on one example and
+    on twenty (a wider vocabulary) must agree field for field."""
+    examples = make_examples(200)
+    rng = random.Random(100 + order)
+    for ex in rng.sample(examples, 3):
+        narrow = NGramLM.train(ex.training_texts, order=order)
+        wide = NGramLM.train(
+            [t for other in rng.sample(examples, 20) for t in other.training_texts],
+            order=order,
+        )
+        for lm in (narrow, wide):
+            for config in _NGRAM_CONFIGS:
+                _assert_matches_oracle(lm, ex.document.input, config)
+
+
+def test_log_prob_ties_break_on_lower_indices():
+    lm = TableLM(("b", "a", "c", EOS), {}, default=(0.3, 0.3, 0.3, 0.1))
+    result = _assert_matches_oracle(
+        lm, "a b", DecoderConfig.vanilla(beam_width=2, max_length=3)
+    )
+    assert result.tokens == ("b", "b", "b")
+    result = _assert_matches_oracle(
+        lm, "a b", DecoderConfig.vanilla(beam_width=3, max_length=2)
+    )
+    assert result.tokens == ("b", "b")
+
+
+def test_ties_made_by_the_length_penalty_break_on_indices():
+    """log(p) < log(q) differ by one ulp, but divided by 2 ** 0.5 they round
+    to the same value, so the adjusted keys tie and the lower index wins."""
+    p, q = 0.3971808377838783, 0.39718083778387836
+    assert math.log(p) < math.log(q)
+    assert math.log(p) / 2**0.5 == math.log(q) / 2**0.5
+    lm = TableLM(
+        ("x", "y", "z", EOS),
+        {(): (1.0, 0.0, 0.0, 0.0), ("x",): (0.0, p, q, 1.0 - p - q)},
+    )
+    config = DecoderConfig.vanilla(beam_width=1, max_length=2, length_penalty=0.5)
+    assert _assert_matches_oracle(lm, "x y z", config).tokens == ("x", "y")
+
+
+def test_beam_search_matches_oracle_on_tied_rows():
+    """Rows drawn from a few repeated weights, so equal cumulative log
+    probabilities are common and pruning must fall through to indices."""
+    rng = random.Random(41)
+    for _ in range(60):
+        vocab = rng.sample(["a", "b", "c", "d", "e"], rng.randint(2, 5))
+        vocab.append(EOS)
+        rng.shuffle(vocab)
+
+        def row():
+            weights = [rng.choice((0, 1, 1, 2)) for _ in vocab]
+            if not any(weights):
+                weights[0] = 1
+            return [w / sum(weights) for w in weights]
+
+        table = {(): row()}
+        for word in vocab:
+            if word != EOS:
+                table[(word,)] = row()
+        lm = TableLM(vocab, table, default=row())
+        config = DecoderConfig(
+            beam_width=rng.randint(1, 6),
+            rerank_interval=rng.choice((2, 3, 9)),
+            max_length=rng.randint(2, 6),
+            length_penalty=rng.choice((0.0, 0.5, 1.0)),
+        )
+        _assert_matches_oracle(lm, "a b c", config)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_ngram_next_distribution_equals_dense_rows(order):
+    """The sparse row equals ``(count(w) + 1) / (T + V)`` over the whole
+    vocabulary, recounted here from the raw texts, bit for bit."""
+    texts = [t for ex in make_examples(200)[:30] for t in ex.training_texts]
+    lm = NGramLM.train(texts, order=order)
+    counts = {}
+    for text in texts:
+        seq = [BOS] * (order - 1) + word_tokens(text) + [EOS]
+        for i in range(order - 1, len(seq)):
+            counts.setdefault(tuple(seq[i - order + 1 : i]), Counter())[seq[i]] += 1
+    unseen = [] if order == 1 else [(EOS,) * (order - 1), ("zebra",) * (order - 1)]
+    assert not any(context in counts for context in unseen)
+    for context in list(counts) + unseen:
+        counter = counts.get(context, Counter())
+        total = sum(counter.values())
+        want = [(counter[w] + 1) / (total + len(lm.vocab)) for w in lm.vocab]
+        # The context is its own prefix: padding adds only leading BOS.
+        assert lm.next_distribution(context, "").probs.tolist() == want

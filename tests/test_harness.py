@@ -446,3 +446,80 @@ def test_config_parsing_and_typed_overrides(tmp_path):
     apply_config_overrides(ns, settings)
     assert ns.beam_width == 6
     assert ns.length_penalty == 0.5
+
+
+@pytest.mark.parametrize(
+    "command, lines, rc",
+    [
+        (["judge-prompt", "--corpus", "@corpus"], "limit = 1\n", 0),
+        (["judge-prompt", "--corpus", "@corpus"], "limit = x\n", 2),
+        (["score"], "fk = 6\nfb = 0.5\n", 0),
+        (["score"], "fk = high\nfb = 0.5\n", 2),
+    ],
+)
+def test_config_values_for_flags_without_defaults_are_typed(
+    tmp_path, capsys, command, lines, rc
+):
+    """A key whose flag defaults to None converts with the flag's type."""
+    corpus = tmp_path / "corpus.jsonl"
+    dump_jsonl([d.with_output("the plan") for d in _DOCS], str(corpus))
+    config = tmp_path / "run.cfg"
+    config.write_text(lines, encoding="utf-8")
+    argv = [str(corpus) if a == "@corpus" else a for a in command]
+    assert run_cli(argv + ["--config", str(config)]) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert "error: config key" in err
+    elif command[0] == "judge-prompt":
+        assert len(out.splitlines()) == 1
+    else:
+        assert "f_F = 6.0000" in out
+
+
+@pytest.mark.parametrize("name", ["corpus", "config", "steps"])
+def test_undecodable_files_are_data_errors(tmp_path, capsys, name):
+    paths = {n: tmp_path / n for n in ("corpus", "config", "steps")}
+    dump_jsonl(_DOCS, str(paths["corpus"]))
+    paths["config"].write_text("", encoding="utf-8")
+    paths["steps"].write_text('{"vocab": ["a"], "steps": [[1.0]]}', encoding="utf-8")
+    paths[name].write_bytes(b"\xff\xfe")
+    argv = (
+        ["loss", "--steps", str(paths["steps"]), "--input", "a", "--label", "a"]
+        if name == "steps"
+        else ["eval", "--corpus", str(paths["corpus"])]
+    )
+    assert run_cli(argv + ["--config", str(paths["config"])]) == 2
+    assert f"error: cannot read {name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, flags, rc, message",
+    [
+        ('{"vocab": ["a"], "steps": [[1.0]], "target": [[1]]}', [], 2,
+         "bad target sequence"),
+        ('{"vocab": ["a", "b"], "steps": [[1.0, 0.0]], "target": ["b"]}', [], 2,
+         "has probability 0"),
+        ('{"vocab": ["a"], "steps": [[1.0]], "nll": Infinity}', [], 2,
+         "nll must be finite"),
+        ('{"vocab": ["a"], "steps": [[1.0]], "nll": 1' + "0" * 400 + "}", [], 2,
+         "nll must be finite"),
+        ('{"vocab": [""], "steps": [[1.0]], "nll": 1}', [], 2,
+         "non-empty strings"),
+        ('{"vocab": ["a"], "steps": [[1.0]]}', ["--nll", "nan"], 1,
+         "--nll must be finite"),
+    ],
+    ids=["list-target", "zero-target", "inf-nll", "huge-nll", "empty-word",
+         "nan-flag"],
+)
+def test_loss_rejects_bad_values(tmp_path, capsys, payload, flags, rc, message):
+    steps = tmp_path / "steps.json"
+    steps.write_text(payload, encoding="utf-8")
+    argv = ["loss", "--steps", str(steps), "--input", "a", "--label", "a"]
+    assert run_cli(argv + flags) == rc
+    assert message in capsys.readouterr().err
+
+
+def test_help_returns_zero(capsys):
+    assert run_cli(["--help"]) == 0
+    assert run_cli(["decode", "--help"]) == 0
+    assert "--corpus" in capsys.readouterr().out

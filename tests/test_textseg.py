@@ -263,6 +263,31 @@ def test_tokenize_equals_two_pass_reference(text):
         assert tok.end == ref[1] + len(ref[0])
 
 
+# Characters whose lower case is ASCII (Kelvin sign), longer than one
+# character (dotted capital I), or depends on what follows (capital sigma).
+_CASE_TRAPS = ["\u212a", "\u0130", "\u03a3", "\u00df", "\u017f", "\ufb03"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_PIECES + tuple(_CASE_TRAPS)),
+            st.text(alphabet="abegilmnoprsvx.I" + "".join(_CASE_TRAPS), max_size=6),
+        ),
+        max_size=12,
+    ).map("".join)
+)
+def test_ends_abbreviation_equals_whole_prefix_reference(text):
+    """Only the last max(len(abbr)) characters are lower-cased; the result
+    equals lower-casing all of ``text[:end]`` at every period."""
+    for end in range(1, len(text) + 1):
+        if text[end - 1] == ".":
+            assert textseg._ends_abbreviation(
+                text, end
+            ) == _ends_abbreviation_ref(text, end), (text, end)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_TEXTS, st.text(max_size=40)), st.booleans())
 def test_word_tokens_equals_tokenize_word_surfaces(text, lowercase):
