@@ -30,7 +30,6 @@ from .decoder import (
     NGramLM,
     TableLM,
     beam_search,
-    greedy_decode,
 )
 from .judge import (
     Judgment,
@@ -59,7 +58,6 @@ from .textseg import (
     TokenList,
     count_syllables,
     extract_entities,
-    extract_ngrams,
     tokenize,
 )
 from .ulloss import (

@@ -4,7 +4,7 @@ Exit codes: 0 on success, 1 on usage errors (bad flags, bad flag values),
 2 on data errors (unreadable or malformed files, missing documents).
 Every subcommand accepts ``--config FILE`` holding ``key = value`` lines
 whose keys mirror the long flag names; values from the file override flag
-values.
+values and go through the flag's own type and choices.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ from .ulloss import (
 
 __all__ = ["main", "run_cli", "build_parser"]
 
-_RESERVED_CONFIG_KEYS = ("func", "command", "config")
-
 
 class UsageError(Exception):
     """Bad command line: unknown flags, missing flags, bad flag values."""
@@ -67,9 +65,11 @@ class _Parser(argparse.ArgumentParser):
         # Only --help gets here: error() raises before argparse would exit.
         raise _HelpShown
 
-    def flag_types(self) -> dict:
-        """The ``type=`` converter of each flag that declares one."""
-        return {a.dest: a.type for a in self._actions if a.type is not None}
+    def config_actions(self) -> dict:
+        """The action of each flag a config file may set: every flag but
+        ``--help`` and ``--config``."""
+        skip = ("help", "config")
+        return {a.dest: a for a in self._actions if a.dest not in skip}
 
 
 def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
@@ -119,7 +119,6 @@ def build_parser() -> _Parser:
         default=2,
         help="order of the n-gram model trained on the corpus labels",
     )
-    _add_scorer_flags(decode)
     decode.add_argument("--config", default=None)
     decode.set_defaults(func=_cmd_decode)
 
@@ -249,7 +248,7 @@ def _cmd_decode(args) -> int:
         lm = NGramLM.train([d.label for d in documents], order=args.ngram_order)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    scorer = _make_scorer(args)
+    scorer = LexicalScorer()
 
     with _replacing(args.out) as handle:
         for doc in documents:
@@ -285,6 +284,15 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _print_scores(
+    f_f: float, f_b: float, r_f: float, r_b: float, r: float
+) -> None:
+    for name, value in (
+        ("f_F", f_f), ("f_B", f_b), ("r_F", r_f), ("r_B", r_b), ("r", r)
+    ):
+        print(f"{name} = {value:.4f}")
+
+
 def _cmd_score(args) -> int:
     direct = args.fk is not None or args.fb is not None
     textual = args.candidate is not None or args.source is not None
@@ -300,11 +308,7 @@ def _cmd_score(args) -> int:
             r = composite_score(r_f, r_b)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        print(f"f_F = {args.fk:.4f}")
-        print(f"f_B = {args.fb:.4f}")
-        print(f"r_F = {r_f:.4f}")
-        print(f"r_B = {r_b:.4f}")
-        print(f"r = {r:.4f}")
+        _print_scores(args.fk, args.fb, r_f, r_b, r)
         return 0
 
     if args.candidate is None or args.source is None:
@@ -342,11 +346,7 @@ def _cmd_score(args) -> int:
         else set()
     )
 
-    print(f"f_F = {score.f_f:.4f}")
-    print(f"f_B = {score.f_b:.4f}")
-    print(f"r_F = {score.r_f:.4f}")
-    print(f"r_B = {score.r_b:.4f}")
-    print(f"r = {score.r:.4f}")
+    _print_scores(score.f_f, score.f_b, score.r_f, score.r_b, score.r)
     print(f"hallucination_zeroed = {str(score.hallucination_zeroed).lower()}")
     if unsupported:
         print("unsupported_entities = " + ", ".join(sorted(unsupported)))
@@ -476,12 +476,10 @@ def run_cli(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            settings = parse_config_file(args.config)
-            for key in _RESERVED_CONFIG_KEYS:
-                if key in settings:
-                    raise DataError(f"unknown config key {key!r}")
             apply_config_overrides(
-                args, settings, parser.commands[args.command].flag_types()
+                args,
+                parse_config_file(args.config),
+                parser.commands[args.command].config_actions(),
             )
         return args.func(args)
     except _HelpShown:

@@ -157,21 +157,19 @@ class PrecomputedScorer(ConsistencyScorer):
     """Replays externally computed scores keyed by candidate text.
 
     The file format is one entry per line, ``key<TAB>score``, scores in
-    [0, 1].  Keys are exact candidate strings (or caller-chosen ids when a
-    ``key_fn`` translates candidates to keys).
+    [0, 1].  Keys are exact candidate strings.
     """
 
-    def __init__(self, scores: Mapping[str, float], key_fn=None):
+    def __init__(self, scores: Mapping[str, float]):
         for key, value in scores.items():
             if not 0.0 <= value <= 1.0:
                 raise ValueError(
                     f"score for {key!r} out of range [0, 1]: {value!r}"
                 )
         self._scores = dict(scores)
-        self._key_fn = key_fn
 
     @classmethod
-    def from_file(cls, path: str, key_fn=None) -> "PrecomputedScorer":
+    def from_file(cls, path: str) -> "PrecomputedScorer":
         scores = {}
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
@@ -194,15 +192,14 @@ class PrecomputedScorer(ConsistencyScorer):
                         f"line {lineno}: score out of range [0, 1]: {value!r}"
                     )
                 scores[parts[0]] = value
-        return cls(scores, key_fn=key_fn)
+        return cls(scores)
 
     def score(self, candidate: str, source: str) -> float:
-        key = self._key_fn(candidate) if self._key_fn else candidate
         try:
-            return self._scores[key]
+            return self._scores[candidate]
         except KeyError:
             raise KeyError(
-                f"no precomputed score for candidate key {key!r}"
+                f"no precomputed score for candidate key {candidate!r}"
             ) from None
 
 

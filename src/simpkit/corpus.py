@@ -11,7 +11,7 @@ line number, e.g. ``line 7: missing field label``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 __all__ = [
@@ -48,9 +48,6 @@ class Document:
         if not self.label:
             raise ValueError(f"document {self.id!r}: label must be non-empty")
 
-    def with_output(self, output: str) -> "Document":
-        return replace(self, output=output)
-
 
 def _field_string(record: dict, name: str, lineno: int, required: bool) -> str | None:
     if name not in record:
@@ -75,15 +72,15 @@ def _read_lines(path: str, what: str) -> list[str]:
         raise DataError(f"cannot read {what} file {path!r}: {exc}") from None
 
 
-def load_jsonl(path: str) -> list[Document]:
-    """Load a corpus file, enforcing the documented invariants.
+def _json_records(path: str, what: str):
+    """``(line number, id, JSON object)`` for each line of a JSON-lines
+    file, one line at a time.
 
-    Raises DataError naming the first offending line.  Blank lines are not
-    allowed: every line must hold one JSON object.
+    Every line must hold one JSON object with a string ``id`` that no
+    earlier line used; anything else raises DataError naming the line.
     """
-    documents: list[Document] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(_read_lines(path, "corpus"), start=1):
+    for lineno, line in enumerate(_read_lines(path, what), start=1):
         stripped = line.strip()
         if not stripped:
             raise DataError(f"line {lineno}: empty line")
@@ -97,15 +94,24 @@ def load_jsonl(path: str) -> list[Document]:
         if doc_id in seen_ids:
             raise DataError(f"line {lineno}: duplicate id {doc_id!r}")
         seen_ids.add(doc_id)
-        documents.append(
-            Document(
-                id=doc_id,
-                input=_field_string(record, "input", lineno, required=True),
-                label=_field_string(record, "label", lineno, required=True),
-                output=_field_string(record, "output", lineno, required=False),
-            )
+        yield lineno, doc_id, record
+
+
+def load_jsonl(path: str) -> list[Document]:
+    """Load a corpus file, enforcing the documented invariants.
+
+    Raises DataError naming the first offending line.  Blank lines are not
+    allowed: every line must hold one JSON object.
+    """
+    return [
+        Document(
+            id=doc_id,
+            input=_field_string(record, "input", lineno, required=True),
+            label=_field_string(record, "label", lineno, required=True),
+            output=_field_string(record, "output", lineno, required=False),
         )
-    return documents
+        for lineno, doc_id, record in _json_records(path, "corpus")
+    ]
 
 
 def dump_jsonl(documents: Iterable[Document], path: str) -> None:
@@ -125,19 +131,7 @@ def load_outputs(path: str) -> dict[str, str]:
     example decode diagnostics) are ignored.
     """
     outputs: dict[str, str] = {}
-    for lineno, line in enumerate(_read_lines(path, "outputs"), start=1):
-        stripped = line.strip()
-        if not stripped:
-            raise DataError(f"line {lineno}: empty line")
-        try:
-            record = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"line {lineno}: invalid JSON: {exc}") from None
-        if not isinstance(record, dict):
-            raise DataError(f"line {lineno}: expected a JSON object")
-        doc_id = _field_string(record, "id", lineno, required=True)
-        if doc_id in outputs:
-            raise DataError(f"line {lineno}: duplicate id {doc_id!r}")
+    for lineno, doc_id, record in _json_records(path, "outputs"):
         value = record.get("output")
         if not isinstance(value, str):
             raise DataError(f"line {lineno}: field output must be a string")
@@ -202,30 +196,34 @@ def _parse_bool(raw: str, key: str) -> bool:
 
 
 def apply_config_overrides(
-    namespace, settings: dict[str, str], types: dict | None = None
+    namespace, settings: dict[str, str], actions
 ) -> None:
     """Apply parsed config settings onto an argparse namespace, in place.
 
-    Values from the file override flag values.  Types follow the existing
-    attribute (bool, int, float, str); an attribute that is still ``None``
-    takes the converter ``types`` gives for its key, else stays a string.
-    Config keys that do not correspond to an attribute raise DataError.
+    Values from the file override flag values.  ``actions`` maps each key a
+    config file may set to the argparse action of its flag, and a value
+    goes through that action as it would on the command line: a flag that
+    takes no argument (``nargs == 0``) reads a boolean, any other converts
+    with the action's ``type`` (a string when it has none) and must be one
+    of its ``choices``.  Unknown keys and rejected values raise DataError.
     """
     for key, raw in settings.items():
-        if not hasattr(namespace, key):
+        action = actions.get(key)
+        if action is None:
             raise DataError(f"unknown config key {key!r}")
-        current = getattr(namespace, key)
+        if action.nargs == 0:
+            setattr(namespace, key, _parse_bool(raw, key))
+            continue
         try:
-            if isinstance(current, bool):
-                value = _parse_bool(raw, key)
-            elif isinstance(current, int):
-                value = int(raw)
-            elif isinstance(current, float):
-                value = float(raw)
-            else:
-                value = (types or {}).get(key, str)(raw)
+            value = (action.type or str)(raw)
         except ValueError:
             raise DataError(
                 f"config key {key!r}: cannot parse value {raw!r}"
             ) from None
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise DataError(
+                f"config key {key!r}: invalid choice {raw!r} "
+                f"(choose from {choices})"
+            )
         setattr(namespace, key, value)

@@ -41,7 +41,6 @@ __all__ = [
     "NGramLM",
     "DecoderConfig",
     "DecodeResult",
-    "greedy_decode",
     "beam_search",
 ]
 
@@ -262,37 +261,6 @@ def _stripped(beam: _Beam, vocab: Sequence[str]) -> tuple[str, ...]:
     if words and words[-1] == EOS:
         words.pop()
     return tuple(words)
-
-
-def greedy_decode(
-    lm: LanguageModel, source: str = "", max_length: int = 128
-) -> list[str]:
-    """Repeated argmax decoding until EOS or ``max_length`` tokens.
-
-    Ties break toward the lowest vocabulary index; the BOS marker is never
-    selected.
-    """
-    if max_length < 1:
-        raise ValueError(f"max_length must be >= 1, got {max_length}")
-    vocab = tuple(lm.vocab)
-    out: list[str] = []
-    for _ in range(max_length):
-        dist = lm.next_distribution(tuple(out), source)
-        if len(dist) != len(vocab):
-            raise ValueError("distribution size does not match model vocab")
-        best = None
-        best_p = 0.0
-        for v, p in enumerate(dist.probs):
-            if vocab[v] == BOS:
-                continue
-            if p > best_p:
-                best, best_p = v, float(p)
-        if best is None:
-            break
-        if vocab[best] == EOS:
-            break
-        out.append(vocab[best])
-    return out
 
 
 def beam_search(

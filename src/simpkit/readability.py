@@ -142,7 +142,6 @@ class FkWeightTable:
     """Frozen word -> FK weight lookup used by the unlikelihood loss.
 
     Built once per vocabulary so training-time lookups are dict hits.
-    Serialized one entry per line as ``word<TAB>weight``.
     """
 
     def __init__(self, weights: Mapping[str, float]):
@@ -176,39 +175,3 @@ class FkWeightTable:
             return self._weights[word]
         except KeyError:
             raise KeyError(f"no FK weight for word {word!r}") from None
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._weights
-
-    def __len__(self) -> int:
-        return len(self._weights)
-
-    def items(self):
-        return self._weights.items()
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            for word in sorted(self._weights):
-                handle.write(f"{word}\t{self._weights[word]!r}\n")
-
-    @classmethod
-    def load(cls, path: str) -> "FkWeightTable":
-        weights = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(
-                        f"line {lineno}: expected word<TAB>weight, "
-                        f"got {line!r}"
-                    )
-                try:
-                    weights[parts[0]] = float(parts[1])
-                except ValueError:
-                    raise ValueError(
-                        f"line {lineno}: bad weight {parts[1]!r}"
-                    ) from None
-        return cls(weights)

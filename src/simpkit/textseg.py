@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 import string
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -37,7 +36,6 @@ __all__ = [
     "tokenize",
     "count_syllables",
     "word_tokens",
-    "extract_ngrams",
     "entity_mentions",
     "extract_entities",
     "entity_word_positions",
@@ -230,21 +228,6 @@ def word_tokens(text: str, lowercase: bool = False) -> list[str]:
     if lowercase:
         return [s.lower() for s in surfaces]
     return surfaces
-
-
-def extract_ngrams(tokens: Sequence[str], n: int) -> Counter[tuple[str, ...]]:
-    """Multiset of case-folded ``n``-grams over a word-token sequence.
-
-    Example:
-        >>> extract_ngrams(["a", "a", "a"], 2)
-        Counter({('a', 'a'): 2})
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    lowered = [t.lower() for t in tokens]
-    return Counter(
-        tuple(lowered[i : i + n]) for i in range(len(lowered) - n + 1)
-    )
 
 
 def _entity_spans(

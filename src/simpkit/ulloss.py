@@ -75,34 +75,18 @@ class StepDistribution:
         self.probs = array
         self.argmax_index = int(np.argmax(array))
 
-    @classmethod
-    def from_logits(cls, logits: Sequence[float]) -> "StepDistribution":
-        return cls(_softmax(np.asarray(logits, dtype=float)))
-
     def __len__(self) -> int:
         return int(self.probs.size)
 
 
 @dataclass(frozen=True)
 class HallucinationSet:
-    """Vocabulary indices of words trained away by the consistency term.
-
-    Serialized one word per line; the vocabulary maps words to indices on
-    load and back on save.
-    """
+    """Vocabulary indices of words trained away by the consistency term."""
 
     indices: frozenset[int] = field(default_factory=frozenset)
 
     def __contains__(self, index: int) -> bool:
         return index in self.indices
-
-    def words(self, vocab: Sequence[str]) -> list[str]:
-        return [vocab[i] for i in sorted(self.indices)]
-
-    def save_words(self, path: str, vocab: Sequence[str]) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            for word in self.words(vocab):
-                handle.write(word + "\n")
 
     @classmethod
     def load_words(
@@ -185,12 +169,6 @@ class ToyModel:
 
     def step_distributions(self) -> list[StepDistribution]:
         return [StepDistribution(row) for row in self.probs()]
-
-    def greedy_indices(self) -> list[int]:
-        return [int(i) for i in self.probs().argmax(axis=1)]
-
-    def greedy_words(self) -> list[str]:
-        return [self.vocab[i] for i in self.greedy_indices()]
 
     def nll(self, targets: Sequence[int]) -> float:
         """Cross-entropy of the target index sequence, one index per step."""

@@ -228,6 +228,32 @@ def min_argmax_gap(probs):
 # decoder: from-scratch search loop over word-string beams
 
 
+def greedy_decode(lm, source="", max_length=128):
+    """Repeated argmax decoding until EOS or ``max_length`` tokens: the
+    width-1 reference for vanilla beam search.
+
+    Ties break toward the lowest vocabulary index; the BOS marker is never
+    selected.
+    """
+    vocab = tuple(lm.vocab)
+    out = []
+    for _ in range(max_length):
+        dist = lm.next_distribution(tuple(out), source)
+        if len(dist) != len(vocab):
+            raise ValueError("distribution size does not match model vocab")
+        best = None
+        best_p = 0.0
+        for v, p in enumerate(dist.probs):
+            if vocab[v] == BOS:
+                continue
+            if p > best_p:
+                best, best_p = v, float(p)
+        if best is None or vocab[best] == EOS:
+            break
+        out.append(vocab[best])
+    return out
+
+
 @dataclass(frozen=True)
 class OracleDecode:
     tokens: tuple

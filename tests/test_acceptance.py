@@ -366,15 +366,19 @@ def test_criterion_06_supported_beats_unsupported():
 def test_criterion_07_sparser_schedules_cost_less():
     grid = (5, 10, 15, 20)
     calls = {}
-    times = {}
-    for k in grid:
-        config = _config_for(k)
-        t0 = time.perf_counter()
-        results = [
-            beam_search(lm, ex.document.input, config) for ex, lm in _corpus()
-        ]
-        times[k] = time.perf_counter() - t0
-        calls[k] = sum(r.scorer_calls for r in results)
+    times = {k: math.inf for k in grid}
+    # Best of three rounds, each over the whole grid in turn, so one burst
+    # of host noise slows one run of one k rather than every run of it.
+    for _ in range(3):
+        for k in grid:
+            config = _config_for(k)
+            t0 = time.perf_counter()
+            results = [
+                beam_search(lm, ex.document.input, config)
+                for ex, lm in _corpus()
+            ]
+            times[k] = min(times[k], time.perf_counter() - t0)
+            calls[k] = sum(r.scorer_calls for r in results)
 
     assert all(isinstance(c, int) for c in calls.values())
     assert 4 * calls[20] <= calls[5]

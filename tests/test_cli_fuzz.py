@@ -65,8 +65,8 @@ _COMMANDS = {
     "decode": (
         ["--corpus", "@corpus", "--out", "@out", "--max-length", "8"],
         ["--beam-width", "--rerank-k", "--max-length", "--length-penalty",
-         "--ngram-order", "--no-hallucination-heuristic", "--corpus", "--out"]
-        + _SCORER,
+         "--ngram-order", "--no-hallucination-heuristic", "--corpus", "--out",
+         "--config"],
     ),
     "eval": (
         ["--corpus", "@corpus"],

@@ -90,11 +90,6 @@ def test_precomputed_scorer_lookup_and_errors(tmp_path):
         PrecomputedScorer.from_file(str(bad))
 
 
-def test_precomputed_scorer_key_fn():
-    scorer = PrecomputedScorer({"K": 0.5}, key_fn=lambda text: "K")
-    assert scorer.score("whatever candidate", "src") == 0.5
-
-
 def test_consistency_subscore_frozen():
     assert consistency_subscore(0.60) == 0.0
     assert consistency_subscore(0.5) == 0.0

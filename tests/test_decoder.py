@@ -1,4 +1,4 @@
-"""Toy language models, greedy decoding, rerank-every-k beam search."""
+"""Toy language models, width-1 (greedy) and rerank-every-k beam search."""
 
 import dataclasses
 import math
@@ -8,7 +8,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import OracleDecode, beam_search_brute, random_table_lm
+from oracles import (
+    OracleDecode,
+    beam_search_brute,
+    greedy_decode,
+    random_table_lm,
+)
 from simpkit.decoder import (
     BOS,
     EOS,
@@ -16,7 +21,6 @@ from simpkit.decoder import (
     NGramLM,
     TableLM,
     beam_search,
-    greedy_decode,
 )
 from simpkit.synthetic import make_examples
 from simpkit.textseg import word_tokens
@@ -82,24 +86,29 @@ def test_decoder_config_validation_and_vanilla():
     assert not vanilla.heuristic_on
 
 
+def _greedy(lm, max_length):
+    config = DecoderConfig.vanilla(beam_width=1, max_length=max_length)
+    return beam_search(lm, "", config).tokens
+
+
 def test_greedy_decode_frozen():
     lm = NGramLM.train(["the cat sat"], order=2)
-    assert greedy_decode(lm, "", max_length=10) == ["the", "cat", "sat"]
+    assert _greedy(lm, max_length=10) == ("the", "cat", "sat")
 
 
 def test_greedy_decode_respects_max_length():
     lm = TableLM(("a", EOS), {}, default=(1.0, 0.0))
-    assert greedy_decode(lm, "", max_length=3) == ["a", "a", "a"]
+    assert _greedy(lm, max_length=3) == ("a", "a", "a")
 
 
 def test_greedy_decode_never_emits_bos():
     lm = TableLM((BOS, "a", EOS), {}, default=(0.8, 0.15, 0.05))
-    assert greedy_decode(lm, "", max_length=4) == ["a", "a", "a", "a"]
+    assert _greedy(lm, max_length=4) == ("a", "a", "a", "a")
 
 
 def test_greedy_decode_stops_when_only_bos_has_mass():
     lm = TableLM((BOS, EOS, "a"), {}, default=(1.0, 0.0, 0.0))
-    assert greedy_decode(lm, "", max_length=4) == []
+    assert _greedy(lm, max_length=4) == ()
 
 
 def test_beam_search_root_survives_when_nothing_expands():
@@ -280,7 +289,7 @@ def test_distribution_size_mismatch_is_an_error():
     with pytest.raises(ValueError, match="does not match model vocab"):
         beam_search(lm, "a", DecoderConfig(beam_width=1, max_length=2))
     with pytest.raises(ValueError, match="does not match model vocab"):
-        greedy_decode(lm, "a", max_length=2)
+        beam_search(lm, "a", DecoderConfig.vanilla(beam_width=1, max_length=2))
 
 
 def test_decode_result_text():

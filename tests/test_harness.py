@@ -1,12 +1,14 @@
 """Command-line entry points: decode, eval, score, loss, judge-prompt."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from simpkit.cli import run_cli
+from simpkit import cli
+from simpkit.cli import build_parser, run_cli
 from simpkit.corpus import (
     Document,
     apply_config_overrides,
@@ -23,6 +25,11 @@ _DOCS = [
     Document(id="d2", input="doctors can check and test the care plan now",
              label="doctors can check and test the care plan now"),
 ]
+
+
+def _with_outputs(output=None):
+    """``_DOCS`` with an output field: ``output``, or else each label."""
+    return [dataclasses.replace(d, output=output or d.label) for d in _DOCS]
 
 
 @pytest.fixture
@@ -82,7 +89,7 @@ def test_decode_rejects_bad_width(corpus_path, tmp_path, capsys):
 def test_eval_prints_table_and_writes_tsv(tmp_path, capsys):
     # Outputs live in the corpus records themselves here.
     corpus = str(tmp_path / "decoded_corpus.jsonl")
-    dump_jsonl([doc.with_output(doc.label) for doc in _DOCS], corpus)
+    dump_jsonl(_with_outputs(), corpus)
     report = str(tmp_path / "report.tsv")
     rc = run_cli(["eval", "--corpus", corpus, "--report", report])
     assert rc == 0
@@ -118,34 +125,58 @@ def _one_line_scores(tmp_path):
     return path
 
 
+@pytest.fixture
+def second_decode_fails(monkeypatch):
+    """``beam_search`` as ``decode`` calls it, raising the ``KeyError`` of a
+    scorer miss on the second document, after the first was decoded."""
+    real = cli.beam_search
+    calls = []
+
+    def fake(lm, source, config, scorer):
+        calls.append(source)
+        if len(calls) == 2:
+            raise KeyError("no precomputed score for candidate key 'x'")
+        return real(lm, source, config, scorer)
+
+    monkeypatch.setattr(cli, "beam_search", fake)
+
+
 def test_decode_missing_precomputed_score_is_a_data_error(
-    corpus_path, tmp_path, capsys
+    corpus_path, tmp_path, capsys, second_decode_fails
 ):
     out = tmp_path / "o.jsonl"
-    rc = run_cli([
-        "decode", "--corpus", corpus_path, "--out", str(out),
-        "--scorer", "precomputed", "--scores", _one_line_scores(tmp_path),
-    ])
+    rc = run_cli(["decode", "--corpus", corpus_path, "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: document 'd1': ")
+    assert err.startswith("error: document 'd2': ")
     assert "no precomputed score" in err
     assert "Traceback" not in err
     assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
-def test_failed_decode_leaves_out_as_it_was(corpus_path, tmp_path):
+def test_failed_decode_leaves_out_as_it_was(
+    corpus_path, tmp_path, second_decode_fails
+):
     out = tmp_path / "o.jsonl"
     out.write_text('{"id": "old"}\n', encoding="utf-8")
-    rc = run_cli([
-        "decode", "--corpus", corpus_path, "--out", str(out),
-        "--scorer", "precomputed", "--scores", _one_line_scores(tmp_path),
-    ])
+    rc = run_cli(["decode", "--corpus", corpus_path, "--out", str(out)])
     assert rc == 2
     assert out.read_text(encoding="utf-8") == '{"id": "old"}\n'
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "corpus.jsonl", "o.jsonl", "scores.tsv",
+        "corpus.jsonl", "o.jsonl",
     ]
+
+
+def test_decode_has_no_scorer_flags(corpus_path, tmp_path, capsys):
+    for flags in (["--scorer", "lexical"], ["--scores", "s.tsv"]):
+        rc = run_cli([
+            "decode", "--corpus", corpus_path,
+            "--out", str(tmp_path / "o.jsonl"), *flags,
+        ])
+        assert rc == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
 def test_decode_replaces_out_on_success(corpus_path, tmp_path):
@@ -176,7 +207,7 @@ def test_unwritable_out_is_a_data_error(corpus_path, tmp_path, capsys, target):
 
 def test_unwritable_report_is_a_data_error(tmp_path, capsys):
     corpus = str(tmp_path / "decoded_corpus.jsonl")
-    dump_jsonl([doc.with_output(doc.label) for doc in _DOCS], corpus)
+    dump_jsonl(_with_outputs(), corpus)
     report = str(tmp_path / "nodir" / "report.tsv")
     rc = run_cli(["eval", "--corpus", corpus, "--report", report])
     assert rc == 2
@@ -187,7 +218,7 @@ def test_unwritable_report_is_a_data_error(tmp_path, capsys):
 
 def test_eval_missing_precomputed_score_is_a_data_error(tmp_path, capsys):
     corpus = str(tmp_path / "decoded_corpus.jsonl")
-    dump_jsonl([doc.with_output(doc.label) for doc in _DOCS], corpus)
+    dump_jsonl(_with_outputs(), corpus)
     rc = run_cli([
         "eval", "--corpus", corpus,
         "--scorer", "precomputed", "--scores", _one_line_scores(tmp_path),
@@ -363,7 +394,7 @@ def test_judge_prompt_emission(corpus_path, tmp_path):
 def test_judge_prompt_limit(tmp_path, capsys):
     # Outputs embedded in the corpus records, no --outputs flag needed.
     path = str(tmp_path / "with_outputs.jsonl")
-    dump_jsonl([doc.with_output("care plan") for doc in _DOCS], path)
+    dump_jsonl(_with_outputs("care plan"), path)
     rc = run_cli(["judge-prompt", "--corpus", path, "--limit", "1"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -438,14 +469,16 @@ def test_config_parsing_and_typed_overrides(tmp_path):
     settings = parse_config_file(str(path))
     assert settings == {"beam_width": "6", "length_penalty": "0.5"}
 
-    class Namespace:
-        beam_width = 2
-        length_penalty = 0.0
-
-    ns = Namespace()
-    apply_config_overrides(ns, settings)
+    decode = build_parser().commands["decode"]
+    ns = decode.parse_args(["--corpus", "c", "--out", "o"])
+    apply_config_overrides(ns, settings, decode.config_actions())
     assert ns.beam_width == 6
     assert ns.length_penalty == 0.5
+
+    apply_config_overrides(
+        ns, {"no_hallucination_heuristic": "yes"}, decode.config_actions()
+    )
+    assert ns.no_hallucination_heuristic is True
 
 
 @pytest.mark.parametrize(
@@ -462,7 +495,7 @@ def test_config_values_for_flags_without_defaults_are_typed(
 ):
     """A key whose flag defaults to None converts with the flag's type."""
     corpus = tmp_path / "corpus.jsonl"
-    dump_jsonl([d.with_output("the plan") for d in _DOCS], str(corpus))
+    dump_jsonl(_with_outputs("the plan"), str(corpus))
     config = tmp_path / "run.cfg"
     config.write_text(lines, encoding="utf-8")
     argv = [str(corpus) if a == "@corpus" else a for a in command]
@@ -474,6 +507,39 @@ def test_config_values_for_flags_without_defaults_are_typed(
         assert len(out.splitlines()) == 1
     else:
         assert "f_F = 6.0000" in out
+
+
+@pytest.mark.parametrize(
+    "command, lines, message",
+    [
+        (["score", "--candidate", "the cat", "--source", "the cat"],
+         "scorer = bogus\n", "error: config key 'scorer': invalid choice"),
+        (["decode", "--corpus", "@corpus", "--out", "@out"],
+         "scorer = precomputed\n", "error: unknown config key 'scorer'"),
+        (["score", "--fk", "6", "--fb", "0.5"],
+         "no-hallucination-heuristic = maybe\n",
+         "error: config key 'no_hallucination_heuristic': expected a boolean"),
+        (["eval", "--corpus", "@corpus"], "help = true\n",
+         "error: unknown config key 'help'"),
+    ],
+    ids=["bogus-choice", "decode-scorer", "bad-boolean", "help"],
+)
+def test_config_values_go_through_the_flag_action(
+    tmp_path, capsys, command, lines, message
+):
+    """A config value the flag itself would reject is a data error."""
+    corpus = tmp_path / "corpus.jsonl"
+    dump_jsonl(_with_outputs("the plan"), str(corpus))
+    out = tmp_path / "o.jsonl"
+    config = tmp_path / "run.cfg"
+    config.write_text(lines, encoding="utf-8")
+    paths = {"@corpus": str(corpus), "@out": str(out)}
+    argv = [paths.get(a, a) for a in command]
+    assert run_cli(argv + ["--config", str(config)]) == 2
+    out_text, err = capsys.readouterr()
+    assert err.startswith(message)
+    assert out_text == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["corpus", "config", "steps"])

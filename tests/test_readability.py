@@ -85,8 +85,6 @@ def test_weight_table_build_and_lookup():
     assert table["cat"] == 0.0
     assert math.isclose(table["hemorrhage"], 20.2, abs_tol=1e-9)
     assert table["</s>"] == 0.0  # markers carry no weight
-    assert "cat" in table and "dog" not in table
-    assert len(table) == 3
     with pytest.raises(KeyError, match="no FK weight"):
         table["dog"]
 
@@ -99,17 +97,3 @@ def test_weight_table_validation():
     with pytest.raises(ValueError):
         FkWeightTable({"cat": float("inf")})
 
-
-def test_weight_table_round_trip(tmp_path):
-    table = FkWeightTable.for_vocab(["cat", "medicine", "hemorrhage"])
-    path = str(tmp_path / "weights.tsv")
-    table.save(path)
-    loaded = FkWeightTable.load(path)
-    assert dict(loaded.items()) == dict(table.items())
-
-
-def test_weight_table_load_rejects_garbage(tmp_path):
-    path = tmp_path / "weights.tsv"
-    path.write_text("cat\tnot-a-number\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="bad weight"):
-        FkWeightTable.load(str(path))

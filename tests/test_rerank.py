@@ -107,9 +107,7 @@ def test_rank_beams_orders_by_composite_then_log_prob():
 
 
 def test_rank_beams_final_ties_break_short_then_lexicographic():
-    scorer = PrecomputedScorer(
-        {"bb": 0.5, "ba": 0.5, "ba ba": 0.5}, key_fn=None
-    )
+    scorer = PrecomputedScorer({"bb": 0.5, "ba": 0.5, "ba ba": 0.5})
     beams = [
         (("bb",), -1.0),
         (("ba", "ba"), -1.0),

@@ -1,7 +1,6 @@
-"""Tokenizer, sentence boundaries, syllables, n-grams, entity heuristics."""
+"""Tokenizer, sentence boundaries, syllables, entity heuristics."""
 
 import re
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from simpkit.textseg import (
     count_syllables,
     entity_word_positions,
     extract_entities,
-    extract_ngrams,
     tokenize,
     word_tokens,
 )
@@ -126,14 +124,6 @@ def test_count_syllables_positive_and_case_insensitive(word):
     count = count_syllables(word)
     assert count >= 1
     assert count_syllables(word.upper()) == count
-
-
-def test_extract_ngrams():
-    assert extract_ngrams(["a", "a", "a"], 2) == Counter({("a", "a"): 2})
-    assert extract_ngrams(["A", "a"], 1) == Counter({("a",): 2})
-    assert extract_ngrams(["a"], 2) == Counter()
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        extract_ngrams(["a"], 0)
 
 
 def test_extract_entities_frozen_cases():
