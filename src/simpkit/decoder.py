@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .consistency import ConsistencyScorer, LexicalScorer
-from .rerank import BeamScore, RankedBeam, rank_beams, score_candidate
+from .rerank import BeamScore, rank_beams, score_candidate
 from .textseg import word_tokens
 from .ulloss import StepDistribution
 
@@ -100,7 +100,8 @@ class NGramLM(LanguageModel):
     included, so with context count ``T`` and vocabulary size ``V`` the
     probability of token ``w`` is ``(count(w) + 1) / (T + V)``.  Unseen
     contexts therefore yield the uniform distribution.  ``order=1`` is a
-    context-free unigram model.
+    context-free unigram model; :meth:`train` caps ``order`` at two more than
+    the longest training text's word count, which changes no row.
 
     The model conditions on the source only through what it was trained on;
     ``next_distribution`` ignores the source argument.
@@ -118,16 +119,16 @@ class NGramLM(LanguageModel):
     def train(cls, texts: Iterable[str], order: int = 2) -> "NGramLM":
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        sequences = []
-        words = set()
-        for text in texts:
-            tokens = word_tokens(text)
-            words.update(tokens)
-            sequences.append([BOS] * (order - 1) + tokens + [EOS])
-        if not sequences:
+        token_lists = [word_tokens(text) for text in texts]
+        if not token_lists:
             raise ValueError("training corpus is empty")
+        words = {w for tokens in token_lists for w in tokens}
         if BOS in words or EOS in words:
             raise ValueError("training text contains a reserved marker")
+        # A context longer than every text plus its EOS always starts with
+        # BOS padding, so larger orders give the same rows.
+        order = min(order, max(map(len, token_lists)) + 2)
+        sequences = [[BOS] * (order - 1) + t + [EOS] for t in token_lists]
         vocab = sorted(words) + [BOS, EOS]
         counts: dict[tuple[str, ...], Counter[str]] = {}
         for seq in sequences:
@@ -201,8 +202,9 @@ class DecodeResult:
 
     ``rerank_steps`` lists the steps where composite pruning actually ran;
     ``scorer_calls`` counts consistency-scorer invocations end to end;
-    ``fallback_used`` flags that every beam was zeroed by the hallucination
-    heuristic and the highest-log-probability beam was returned instead.
+    ``fallback_used`` flags that the hallucination heuristic zeroed every
+    beam of the final ranking, so the best beam by adjusted log probability
+    was returned instead; vanilla decoding never sets it.
     """
 
     tokens: tuple[str, ...]
@@ -228,36 +230,9 @@ class _CountingScorer(ConsistencyScorer):
         return self.inner.score(candidate, source)
 
 
-@dataclass(frozen=True)
-class _Beam:
-    indices: tuple[int, ...]
-    log_prob: float
-
-
-def _adjusted(log_prob: float, length: int, alpha: float) -> float:
-    if alpha == 0.0:
-        return log_prob
-    return log_prob / (length**alpha)
-
-
-def _log_prob_key(config: DecoderConfig):
-    """Sort key for picking by log probability among beams of any length:
-    best adjusted log_prob first, ties to the shorter sequence, then to the
-    lower vocabulary indices.  Plain pruning steps use the same order on
-    key tuples (see :func:`beam_search`)."""
-
-    def key(beam: _Beam):
-        return (
-            -_adjusted(beam.log_prob, len(beam.indices), config.length_penalty),
-            len(beam.indices),
-            beam.indices,
-        )
-
-    return key
-
-
-def _stripped(beam: _Beam, vocab: Sequence[str]) -> tuple[str, ...]:
-    words = [vocab[i] for i in beam.indices]
+def _words(indices: tuple[int, ...], vocab: Sequence[str]) -> tuple[str, ...]:
+    """A beam's words without its trailing EOS."""
+    words = [vocab[i] for i in indices]
     if words and words[-1] == EOS:
         words.pop()
     return tuple(words)
@@ -278,17 +253,23 @@ def beam_search(
     end in EOS freeze and rejoin for the final selection, which reranks the
     finished (or max-length) pool once; with reranking disabled the final
     pick is by log probability.  Never fails to produce an output: when the
-    heuristic zeroes every beam the highest-log-probability beam is returned
-    with ``fallback_used`` set.
+    heuristic zeroes every beam the best beam by adjusted log probability is
+    returned with ``fallback_used`` set.
+
+    A beam is the tuple ``(-adjusted log_prob, indices, log_prob)``, where
+    the adjusted value is ``log_prob / len(indices) ** length_penalty``
+    (0.0 for the empty root beam).  Every candidate at a step has the same
+    length and distinct indices, so plain tuple order is the pruning order:
+    best adjusted log_prob first, ties to the lower vocabulary indices, and
+    no comparison reaches the trailing log_prob.  Pools of mixed length add
+    the length between the two, so ties go to the shorter sequence.
     """
     counting = _CountingScorer(scorer if scorer is not None else LexicalScorer())
     vocab = tuple(lm.vocab)
-    log_key = _log_prob_key(config)
-    alpha = config.length_penalty
     bos = {v for v, word in enumerate(vocab) if word == BOS}
 
-    active = [_Beam(indices=(), log_prob=0.0)]
-    finished: list[_Beam] = []
+    active = [(0.0, (), 0.0)]
+    finished = []
     rerank_steps: list[int] = []
     steps_run = 0
 
@@ -296,88 +277,55 @@ def beam_search(
         if not active:
             break
         steps_run = step
-        # Plain pruning sorts (-adjusted log_prob, indices, log_prob) tuples.
-        # That is _log_prob_key's order: every candidate here has ``step``
-        # indices, so its length term is constant, and indices are unique,
-        # so no comparison reaches the trailing log_prob.
-        keyed: list[tuple[float, tuple[int, ...], float]] = []
-        for beam in active:
-            assert len(beam.indices) == step - 1, "beam length out of step"
-            prefix = tuple(vocab[i] for i in beam.indices)
+        length_scale = step**config.length_penalty
+        pool = []
+        for _, indices, beam_log_prob in active:
+            assert len(indices) == step - 1, "beam length out of step"
+            prefix = tuple(vocab[i] for i in indices)
             dist = lm.next_distribution(prefix, source)
             if len(dist) != len(vocab):
-                raise ValueError(
-                    "distribution size does not match model vocab"
-                )
+                raise ValueError("distribution size does not match model vocab")
             for v, p in enumerate(dist.probs.tolist()):
                 if p <= 0.0 or v in bos:
                     continue
-                log_prob = beam.log_prob + math.log(p)
-                keyed.append(
-                    (
-                        -_adjusted(log_prob, step, alpha),
-                        beam.indices + (v,),
-                        log_prob,
-                    )
-                )
-        if not keyed:
+                log_prob = beam_log_prob + math.log(p)
+                pool.append((-log_prob / length_scale, indices + (v,), log_prob))
+        if not pool:
             break
         if config.rerank_enabled and step % config.rerank_interval == 0:
             rerank_steps.append(step)
-            candidates = [_Beam(indices, lp) for _, indices, lp in keyed]
             ranked = _rank_pool(
-                candidates, vocab, source, counting, config, config.beam_width
+                pool, vocab, source, counting, config, config.beam_width
             )
             kept = [beam for beam, _ in ranked]
         else:
-            kept = [
-                _Beam(indices, lp)
-                for _, indices, lp in heapq.nsmallest(config.beam_width, keyed)
-            ]
-        active = []
-        for beam in kept:
-            if vocab[beam.indices[-1]] == EOS:
-                finished.append(beam)
-            else:
-                active.append(beam)
+            kept = heapq.nsmallest(config.beam_width, pool)
+        finished += [beam for beam in kept if vocab[beam[1][-1]] == EOS]
+        active = [beam for beam in kept if vocab[beam[1][-1]] != EOS]
 
+    # Never empty: the root beam stays active when step 1 cannot expand,
+    # and every later step keeps at least one beam.
     pool = finished + active
-    if not pool:
-        empty_score = BeamScore(f_f=0.0, f_b=0.0, r_f=1.0, r_b=0.0, r=0.0)
-        return DecodeResult(
-            tokens=(),
-            score=empty_score,
-            log_prob=float("-inf"),
-            fallback_used=True,
-            rerank_steps=tuple(rerank_steps),
-            scorer_calls=counting.calls,
-            steps_run=steps_run,
-        )
-
+    best = min(pool, key=lambda beam: (beam[0], len(beam[1]), beam[1]))
     fallback_used = False
     if config.rerank_enabled:
         ranked = _rank_pool(pool, vocab, source, counting, config)
-        if config.heuristic_on and all(
-            rb.score.hallucination_zeroed for _, rb in ranked
-        ):
-            fallback_used = True
-            best_beam = min(pool, key=log_key)
-            best_score = next(rb.score for b, rb in ranked if b is best_beam)
+        fallback_used = config.heuristic_on and all(
+            score.hallucination_zeroed for _, score in ranked
+        )
+        if fallback_used:
+            best_score = next(score for beam, score in ranked if beam is best)
         else:
-            best_beam, top = ranked[0]
-            best_score = top.score
-        best_words = _stripped(best_beam, vocab)
+            best, best_score = ranked[0]
     else:
-        best_beam = min(pool, key=log_key)
-        best_words = _stripped(best_beam, vocab)
         best_score = score_candidate(
-            best_words, source, counting, config.heuristic_on
+            _words(best[1], vocab), source, counting, config.heuristic_on
         )
 
     return DecodeResult(
-        tokens=best_words,
+        tokens=_words(best[1], vocab),
         score=best_score,
-        log_prob=best_beam.log_prob,
+        log_prob=best[2],
         fallback_used=fallback_used,
         rerank_steps=tuple(rerank_steps),
         scorer_calls=counting.calls,
@@ -386,25 +334,23 @@ def beam_search(
 
 
 def _rank_pool(
-    pool: list[_Beam],
+    pool: list[tuple[float, tuple[int, ...], float]],
     vocab: tuple[str, ...],
     source: str,
     scorer: ConsistencyScorer,
     config: DecoderConfig,
     top_n: int | None = None,
-) -> list[tuple[_Beam, RankedBeam]]:
-    """:func:`rank_beams` over ``pool``, each ranked entry paired with the
-    beam it came from.
+) -> list[tuple[tuple[float, tuple[int, ...], float], BeamScore]]:
+    """:func:`rank_beams` over ``pool`` as (beam, score) pairs, best first.
 
     Ranking sees only the words without a trailing EOS, so two beams that
     differ by that EOS alone would be indistinguishable.  That cannot
     happen: no beam in a pool that ends in EOS is longer than one that does
     not, so its words without the EOS are strictly shorter.
     """
-    pairs = [(_stripped(b, vocab), b.log_prob) for b in pool]
-    beam_of = {words: b for (words, _), b in zip(pairs, pool)}
+    words = [_words(beam[1], vocab) for beam in pool]
+    beam_of = dict(zip(words, pool))
     assert len(beam_of) == len(pool), "stripped words map to several beams"
-    ranked = rank_beams(
-        pairs, source, scorer, heuristic_on=config.heuristic_on, top_n=top_n
-    )
-    return [(beam_of[rb.words], rb) for rb in ranked]
+    pairs = [(w, beam[2]) for w, beam in zip(words, pool)]
+    ranked = rank_beams(pairs, source, scorer, config.heuristic_on, top_n)
+    return [(beam_of[rb.words], rb.score) for rb in ranked]

@@ -352,7 +352,7 @@ def beam_search_brute(
     def plain_key(cand):
         words, lp = cand
         length = len(words)
-        adjusted = lp if alpha == 0.0 else lp / (length**alpha)
+        adjusted = lp if alpha == 0.0 or length == 0 else lp / (length**alpha)
         return (-adjusted, length, tuple(index_of[w] for w in words))
 
     active = [((), 0.0)]

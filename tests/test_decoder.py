@@ -22,6 +22,7 @@ from simpkit.decoder import (
     TableLM,
     beam_search,
 )
+from simpkit.rerank import BeamScore
 from simpkit.synthetic import make_examples
 from simpkit.textseg import word_tokens
 
@@ -111,12 +112,27 @@ def test_greedy_decode_stops_when_only_bos_has_mass():
     assert _greedy(lm, max_length=4) == ()
 
 
-def test_beam_search_root_survives_when_nothing_expands():
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("mode", ["rerank", "vanilla"])
+def test_beam_search_root_survives_when_nothing_expands(mode, alpha):
+    """The empty root beam is the whole final pool; with a length penalty
+    its adjusted log_prob is 0.0, not a division by its zero length."""
     lm = TableLM((BOS, EOS, "a"), {}, default=(1.0, 0.0, 0.0))
-    result = beam_search(lm, "a", DecoderConfig(beam_width=2, max_length=4))
+    if mode == "rerank":
+        config = DecoderConfig(
+            beam_width=2, rerank_interval=1, max_length=4, length_penalty=alpha
+        )
+    else:
+        config = DecoderConfig.vanilla(
+            beam_width=2, max_length=4, length_penalty=alpha
+        )
+    result = _assert_matches_oracle(lm, "a", config)
     assert result.tokens == ()
     assert result.log_prob == 0.0
+    assert result.score == BeamScore(f_f=0.0, f_b=0.0, r_f=1.0, r_b=0.0, r=0.0)
     assert not result.fallback_used
+    assert result.rerank_steps == ()
+    assert result.scorer_calls == 0
     assert result.steps_run == 1
 
 
@@ -396,12 +412,16 @@ def test_beam_search_matches_oracle_on_tied_rows():
         _assert_matches_oracle(lm, "a b c", config)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 16])
 def test_ngram_next_distribution_equals_dense_rows(order):
     """The sparse row equals ``(count(w) + 1) / (T + V)`` over the whole
-    vocabulary, recounted here from the raw texts, bit for bit."""
+    vocabulary, recounted here from the raw texts, bit for bit.  Order 16 is
+    past the cap ``train`` applies (the longest text plus two), so the
+    recount at the full order checks that the cap changes no row."""
     texts = [t for ex in make_examples(200)[:30] for t in ex.training_texts]
     lm = NGramLM.train(texts, order=order)
+    if order == 16:
+        assert lm.order == max(len(word_tokens(t)) for t in texts) + 2 < 16
     counts = {}
     for text in texts:
         seq = [BOS] * (order - 1) + word_tokens(text) + [EOS]
@@ -415,3 +435,22 @@ def test_ngram_next_distribution_equals_dense_rows(order):
         want = [(counter[w] + 1) / (total + len(lm.vocab)) for w in lm.vocab]
         # The context is its own prefix: padding adds only leading BOS.
         assert lm.next_distribution(context, "").probs.tolist() == want
+
+
+def test_ngram_orders_past_the_longest_text_give_the_same_rows():
+    """An order of 10**18 trains and answers without padding each text, or
+    each prefix, with that many BOS markers."""
+    texts = ["a b", "b a c", "c c a b a", "a", "b c"]
+    longest = 5
+    models = [
+        NGramLM.train(texts, order=n) for n in (longest + 2, longest + 5, 10**18)
+    ]
+    rng = random.Random(17)
+    prefixes = [tuple(t.split()[:i]) for t in texts for i in range(longest + 1)]
+    prefixes += [
+        tuple(rng.choice(("a", "b", "c")) for _ in range(rng.randint(0, 9)))
+        for _ in range(300)
+    ]
+    for prefix in prefixes:
+        rows = [lm.next_distribution(prefix, "").probs.tolist() for lm in models]
+        assert rows[0] == rows[1] == rows[2], prefix

@@ -194,6 +194,24 @@ def test_decode_replaces_out_on_success(corpus_path, tmp_path):
     ]
 
 
+def test_decode_with_a_huge_ngram_order(tmp_path, capsys):
+    """Orders past the longest label plus two decode like that order, so
+    10**18 neither pads 10**18 markers nor changes the output."""
+    corpus = str(tmp_path / "one.jsonl")
+    dump_jsonl(_DOCS[:1], corpus)
+    outputs = {}
+    for order in ("11", "1000000000000000000"):
+        out = tmp_path / f"o{order}.jsonl"
+        rc = run_cli([
+            "decode", "--corpus", corpus, "--out", str(out),
+            "--max-length", "8", "--ngram-order", order,
+        ])
+        assert rc == 0
+        outputs[order] = out.read_text(encoding="utf-8")
+    assert capsys.readouterr().err == ""
+    assert outputs["11"] == outputs["1000000000000000000"]
+
+
 @pytest.mark.parametrize("target", ["nodir/o.jsonl", "."])
 def test_unwritable_out_is_a_data_error(corpus_path, tmp_path, capsys, target):
     out = str(tmp_path / target)
