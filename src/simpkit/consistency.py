@@ -76,11 +76,14 @@ class PreparedSource:
     """One source text, tokenized once, with what scoring reads from it.
 
     Holds the case-folded word tokens in order, their distinct kinds in
-    order of first appearance, and a table filled on demand with each
-    candidate token's trigram similarity to every source kind, from which
-    the lexical scorer takes both its precision and its recall terms.  The
-    table only memoizes a pure function of its key, so sharing one instance
-    between callers changes no result.
+    order of first appearance, and three tables filled on demand for the
+    lexical scorer: each candidate token's trigram similarity to every
+    source kind, that row's maximum (the token's precision term), and the
+    recall of each set of candidate tokens.  Recall is keyed by the set
+    because a column maximum does not depend on the order of the rows:
+    similarities are never ``-0.0`` or NaN.  The tables only memoize pure
+    functions of their keys, so sharing one instance between callers
+    changes no result.
     """
 
     def __init__(self, text: str):
@@ -89,6 +92,8 @@ class PreparedSource:
         self._position = {kind: i for i, kind in enumerate(self.kinds)}
         self.kind_positions = tuple(self._position[w] for w in self.words)
         self._similarities: dict[str, tuple[float, ...]] = {}
+        self._row_max: dict[str, float] = {}
+        self._recall: dict[frozenset[str], float] = {}
 
     def similarities(self, token: str) -> tuple[float, ...]:
         """Trigram similarity of ``token`` to each source kind, in the
@@ -98,6 +103,26 @@ class PreparedSource:
             row = tuple(_token_similarity(token, kind) for kind in self.kinds)
             self._similarities[token] = row
         return row
+
+    def _precision_term(self, token: str) -> float:
+        """Best similarity of ``token`` to any source kind."""
+        best = self._row_max.get(token)
+        if best is None:
+            best = self._row_max[token] = max(self.similarities(token))
+        return best
+
+    def _recall_of(self, tokens: frozenset[str]) -> float:
+        """Mean over source words of the best similarity to any of
+        ``tokens``, summed in source order."""
+        recall = self._recall.get(tokens)
+        if recall is None:
+            rows = [self.similarities(tok) for tok in tokens]
+            best = [max(column) for column in zip(*rows)]
+            recall = sum(best[i] for i in self.kind_positions) / len(
+                self.words
+            )
+            self._recall[tokens] = recall
+        return recall
 
     def unsupported(self, mentions: Mapping[str, Sequence[str]]) -> set[str]:
         """Mentions whose words do not occur contiguously
@@ -141,12 +166,9 @@ class LexicalScorer(ConsistencyScorer):
         # both directions: a row's maximum is that token's precision term,
         # a column's maximum over the rows is that source kind's recall
         # term.  Sums run over tokens in text order, as the definition does.
-        rows = {tok: prepared.similarities(tok) for tok in cand}
-        precision = sum(max(rows[tok]) for tok in cand) / len(cand)
-        recall_of = [max(column) for column in zip(*rows.values())]
-        recall = sum(recall_of[i] for i in prepared.kind_positions) / len(
-            prepared.words
-        )
+        term = prepared._precision_term
+        precision = sum([term(tok) for tok in cand]) / len(cand)
+        recall = prepared._recall_of(frozenset(cand))
         if precision + recall == 0:
             return 0.0
         f1 = 2 * precision * recall / (precision + recall)

@@ -66,11 +66,15 @@ def flesch_kincaid_tokens(tl: TokenList) -> float:
     words = tl.words()
     if not words:
         raise ValueError("flesch_kincaid needs at least one word token")
-    sentences = tl.sentence_count()
     syllables = sum(count_syllables(t.surface) for t in words)
+    return _fk_grade(len(words), tl.sentence_count(), syllables)
+
+
+def _fk_grade(words: int, sentences: int, syllables: int) -> float:
+    """The Flesch-Kincaid grade from its three counts."""
     return (
-        FK_WORDS_PER_SENTENCE * (len(words) / sentences)
-        + FK_SYLLABLES_PER_WORD * (syllables / len(words))
+        FK_WORDS_PER_SENTENCE * (words / sentences)
+        + FK_SYLLABLES_PER_WORD * (syllables / words)
         + FK_BASE
     )
 

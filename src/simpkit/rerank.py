@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 from .consistency import (
     ConsistencyScorer,
@@ -18,8 +19,8 @@ from .consistency import (
     prepare_source,
     unsupported_entities,
 )
-from .readability import flesch_kincaid_tokens, readability_subscore
-from .textseg import entity_mentions, tokenize
+from .readability import _fk_grade, flesch_kincaid_tokens, readability_subscore
+from .textseg import count_syllables, entity_mentions, tokenize
 
 # No longer called here, but the benchmark's tracer test
 # (perfbench/tests/test_perfbench.py) looks both names up on this module.
@@ -75,6 +76,68 @@ def composite_score(r_f: float, r_b: float) -> float:
     return harmonic * harmonic
 
 
+class _WordFacts(NamedTuple):
+    """What scoring reads from one plain word standing alone."""
+
+    syllables: int
+    capitalized: bool
+    numeric: bool
+
+
+@lru_cache(maxsize=4096)
+def _word_facts(word: str) -> _WordFacts | None:
+    """The facts of ``word`` when it is a plain word, else None.
+
+    A plain word tokenizes to exactly one word token equal to itself.
+    Such a token is matched by the word alternatives of the token pattern,
+    none of which reaches across whitespace, so a space-joined sequence of
+    plain words tokenizes to exactly those words, with no sentence mark
+    between them.  Facts are memoized for the 4,096 most recently used
+    words.
+    """
+    tokens = tokenize(word).tokens
+    if len(tokens) != 1 or not tokens[0].is_word or tokens[0].surface != word:
+        return None
+    tok = tokens[0]
+    return _WordFacts(
+        count_syllables(word), tok.is_capitalized, tok.is_numeric
+    )
+
+
+def _plain_facts(words: Sequence[str]) -> list[_WordFacts] | None:
+    """Per-word facts of a non-empty sequence of plain words, else None."""
+    if not words:
+        return None
+    facts = [_word_facts(w) for w in words]
+    return None if None in facts else facts
+
+
+def _plain_mentions(
+    words: Sequence[str], facts: Sequence[_WordFacts]
+) -> dict[str, tuple[str, ...]]:
+    """:func:`~simpkit.textseg.entity_mentions` of ``" ".join(words)`` for
+    plain words, read from their facts: one sentence whose only
+    sentence-initial word is word 0."""
+    mentions = {}
+    later_caps = set()
+    run: list[str] = []
+    for word, fact in zip(words[1:], facts[1:]):
+        if fact.capitalized:
+            run.append(word)
+            later_caps.add(word)
+        elif run:
+            mentions[" ".join(run)] = tuple(run)
+            run = []
+    if run:
+        mentions[" ".join(run)] = tuple(run)
+    if facts[0].capitalized and words[0] in later_caps:
+        mentions[words[0]] = (words[0],)
+    for word, fact in zip(words, facts):
+        if fact.numeric:
+            mentions[word] = (word,)
+    return mentions
+
+
 def score_candidate(
     words: Sequence[str],
     source: str,
@@ -90,24 +153,37 @@ def score_candidate(
     the entities are extracted from the candidate unless
     ``candidate_entities`` supplies them.
 
-    The candidate is tokenized once, and every check here reads that one
-    token list; the source is prepared once per source text
-    (:func:`~simpkit.consistency.prepare_source`).
+    A candidate of plain words (each one word token on its own, as every
+    n-gram vocabulary word is) is scored from its words, with no tokenize:
+    the joined text is one sentence of exactly those words, so the grade
+    and the entity mentions follow from memoized per-word facts.  Any
+    other candidate, or one with ``candidate_entities``, is tokenized once
+    and every check reads that one token list.  Either way the scorer sees
+    the words joined by single spaces, and the source is prepared once per
+    source text (:func:`~simpkit.consistency.prepare_source`).
     """
     text = " ".join(words)
-    tl = tokenize(text)
-    if not any(t.is_word for t in tl.tokens):
-        return BeamScore(
-            f_f=0.0, f_b=0.0, r_f=readability_subscore(0.0), r_b=0.0, r=0.0
-        )
-    f_f = flesch_kincaid_tokens(tl)
+    facts = _plain_facts(words) if candidate_entities is None else None
+    if facts is not None:
+        f_f = _fk_grade(len(facts), 1, sum(f.syllables for f in facts))
+        mentions = _plain_mentions(words, facts) if heuristic_on else None
+    else:
+        tl = tokenize(text)
+        if not any(t.is_word for t in tl.tokens):
+            return BeamScore(
+                f_f=0.0, f_b=0.0, r_f=readability_subscore(0.0), r_b=0.0, r=0.0
+            )
+        f_f = flesch_kincaid_tokens(tl)
+        mentions = None
+        if heuristic_on and candidate_entities is None:
+            mentions = entity_mentions(tl)
     f_b = scorer.score(text, source)
     r_f = readability_subscore(f_f)
     r_b = consistency_subscore(f_b)
     if not heuristic_on:
         zeroed = False
-    elif candidate_entities is None:
-        zeroed = bool(prepare_source(source).unsupported(entity_mentions(tl)))
+    elif mentions is not None:
+        zeroed = bool(prepare_source(source).unsupported(mentions))
     else:
         zeroed = bool(unsupported_entities(text, source, candidate_entities))
     r = 0.0 if zeroed else composite_score(r_f, r_b)

@@ -19,8 +19,19 @@ import numpy as np
 
 from simpkit.consistency import LexicalScorer
 from simpkit.decoder import BOS, EOS, DecoderConfig, LanguageModel, TableLM
-from simpkit.rerank import BeamScore, score_candidate
-from simpkit.textseg import tokenize, word_tokens
+from simpkit.readability import (
+    FK_BASE,
+    FK_SYLLABLES_PER_WORD,
+    FK_WORDS_PER_SENTENCE,
+)
+from simpkit.rerank import BeamScore
+from simpkit.textseg import (
+    contains_token_span,
+    count_syllables,
+    extract_entities,
+    tokenize,
+    word_tokens,
+)
 from simpkit.ulloss import StepDistribution, ToyModel, total_loss
 
 
@@ -188,6 +199,61 @@ def composite_brute(r_f, r_b):
 
 
 # ---------------------------------------------------------------------------
+# candidate scoring from the joined text
+
+
+def _fk_ref(text):
+    tl = tokenize(text)
+    words = tl.words()
+    syllables = sum(count_syllables(t.surface) for t in words)
+    return (
+        FK_WORDS_PER_SENTENCE * (len(words) / tl.sentence_count())
+        + FK_SYLLABLES_PER_WORD * (syllables / len(words))
+        + FK_BASE
+    )
+
+
+def _unsupported_ref(candidate, source, candidate_entities):
+    if candidate_entities is None:
+        entities = extract_entities(candidate)
+    else:
+        entities = set(candidate_entities)
+    source_words = word_tokens(source, lowercase=True)
+    return {
+        e
+        for e in entities
+        if not contains_token_span(source_words, word_tokens(e))
+    }
+
+
+def _score_candidate_ref(
+    words, source, f_b_of, heuristic_on, candidate_entities=None
+):
+    """``score_candidate`` from the tokenized joined text, whatever the
+    words; ``f_b_of(text, source)`` gives the consistency score."""
+    text = " ".join(words)
+    if not word_tokens(text):
+        return BeamScore(
+            f_f=0.0,
+            f_b=0.0,
+            r_f=readability_subscore_brute(0.0),
+            r_b=0.0,
+            r=0.0,
+        )
+    f_f = _fk_ref(text)
+    f_b = f_b_of(text, source)
+    r_f = readability_subscore_brute(f_f)
+    r_b = consistency_subscore_brute(f_b)
+    zeroed = bool(
+        heuristic_on and _unsupported_ref(text, source, candidate_entities)
+    )
+    r = 0.0 if zeroed else composite_brute(r_f, r_b)
+    return BeamScore(
+        f_f=f_f, f_b=f_b, r_f=r_f, r_b=r_b, r=r, hallucination_zeroed=zeroed
+    )
+
+
+# ---------------------------------------------------------------------------
 # loss: central finite differences
 
 
@@ -285,7 +351,7 @@ def _rank_brute(entries, source, scorer, heuristic_on, top_n=None):
     """Composite ranking of ``(stripped words, log prob)`` entries."""
     scored = []
     for words, lp in entries:
-        sc = score_candidate(words, source, scorer, heuristic_on)
+        sc = _score_candidate_ref(words, source, scorer.score, heuristic_on)
         scored.append((words, lp, sc))
     scored.sort(key=lambda e: (-e[2].r, -e[1], len(e[0]), e[0]))
     if top_n is not None:
@@ -300,17 +366,18 @@ WORD_POOL = (
 )
 
 
-def random_table_lm(rng, max_vocab=10):
+def random_table_lm(rng, max_vocab=10, pool=WORD_POOL):
     """Random scripted model plus a source text drawn from its vocabulary.
 
-    Rows mix zero entries (exercising the positive-probability filter) with
-    scripted prefixes up to length two; a default row covers the rest.  The
-    vocabulary order is shuffled so index tie-breaking varies, BOS is only
-    sometimes present, and occasionally a capitalized drug name appears so
-    the hallucination heuristic fires.
+    The vocabulary words are drawn from ``pool``.  Rows mix zero entries
+    (exercising the positive-probability filter) with scripted prefixes up
+    to length two; a default row covers the rest.  The vocabulary order is
+    shuffled so index tie-breaking varies, BOS is only sometimes present,
+    and occasionally a capitalized drug name appears so the hallucination
+    heuristic fires.
     """
     n_words = rng.randint(2, min(7, max_vocab - 2))
-    words = rng.sample(WORD_POOL, n_words)
+    words = rng.sample(pool, n_words)
     if rng.random() < 0.25:
         words[rng.randrange(len(words))] = "Aspirin"
     vocab = list(words)
@@ -423,8 +490,8 @@ def beam_search_brute(
     else:
         best = min(pool, key=plain_key)
         best_words = _strip(best[0])
-        best_score = score_candidate(
-            best_words, source, shim, config.heuristic_on
+        best_score = _score_candidate_ref(
+            best_words, source, shim.score, config.heuristic_on
         )
 
     return OracleDecode(

@@ -357,6 +357,31 @@ def test_beam_search_matches_oracle_on_ngram_models(order):
                 _assert_matches_oracle(lm, ex.document.input, config)
 
 
+# Vocabulary entries that are not one word token on their own, so every
+# candidate holding one is scored from its tokenized text, next to entries
+# that are (random_table_lm adds "Aspirin" to some vocabularies).
+_NOT_PLAIN = (".", "Dr.", "e.g.", "New York", " cat", "٣")
+_MIXED_POOL = _NOT_PLAIN + (
+    "3.5.1", "state-of-the-art", "don't", "sat", "medicine",
+)
+
+
+@pytest.mark.parametrize("heuristic_on", [True, False])
+def test_beam_search_matches_oracle_on_words_that_are_not_plain(heuristic_on):
+    rng = random.Random(808)
+    emitted = set()
+    for _ in range(40):
+        lm, source = random_table_lm(rng, pool=_MIXED_POOL)
+        config = DecoderConfig(
+            beam_width=rng.randint(1, 3),
+            rerank_interval=1,
+            max_length=rng.randint(2, 5),
+            heuristic_on=heuristic_on,
+        )
+        emitted.update(_assert_matches_oracle(lm, source, config).tokens)
+    assert emitted >= set(_NOT_PLAIN)
+
+
 def test_log_prob_ties_break_on_lower_indices():
     lm = TableLM(("b", "a", "c", EOS), {}, default=(0.3, 0.3, 0.3, 0.1))
     result = _assert_matches_oracle(

@@ -1,11 +1,11 @@
-"""Scoring and evaluation tokenize each text once and still give the same
-numbers.
+"""Scoring and evaluation tokenize each text once, or not at all for plain
+words, and still give the same numbers.
 
-The references below are the text-level formulas as first written: each
-metric tokenizes its own inputs and the lexical scorer compares every
-token pair directly.  The production path shares one token list per
-candidate and one prepared source per source text; every value must be
-equal, not merely close.
+The references are the text-level formulas as first written: each metric
+tokenizes its own inputs and the lexical scorer compares every token pair
+directly.  The production path shares one token list per candidate, scores
+a candidate of plain words from per-word facts, and prepares each source
+text once; every value must be equal, not merely close.
 """
 
 import math
@@ -16,24 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simpkit import textseg
+from oracles import _score_candidate_ref, _unsupported_ref
+from simpkit import rerank, textseg
 from simpkit.consistency import (
     LexicalScorer,
-    consistency_subscore,
     prepare_source,
     unsupported_entities,
 )
 from simpkit.corpus import Document
 from simpkit.decoder import DecoderConfig, NGramLM, beam_search
-from simpkit.readability import (
-    FK_BASE,
-    FK_SYLLABLES_PER_WORD,
-    FK_WORDS_PER_SENTENCE,
-    ari,
-    flesch_kincaid,
-    readability_subscore,
-)
-from simpkit.rerank import BeamScore, composite_score, score_candidate
+from simpkit.readability import ari, flesch_kincaid
+from simpkit.rerank import score_candidate
 from simpkit.simpeval import (
     evaluate_corpus,
     fourgram_overlap,
@@ -42,10 +35,8 @@ from simpkit.simpeval import (
 )
 from simpkit.synthetic import make_examples
 from simpkit.textseg import (
-    contains_token_span,
     count_syllables,
     entity_mentions,
-    extract_entities,
     tokenize,
     word_tokens,
 )
@@ -116,49 +107,6 @@ def _lexical_ref(candidate, source):
     return min(1.0, max(0.0, 2 * precision * recall / (precision + recall)))
 
 
-def _fk_ref(text):
-    tl = tokenize(text)
-    words = tl.words()
-    syllables = sum(count_syllables(t.surface) for t in words)
-    return (
-        FK_WORDS_PER_SENTENCE * (len(words) / tl.sentence_count())
-        + FK_SYLLABLES_PER_WORD * (syllables / len(words))
-        + FK_BASE
-    )
-
-
-def _unsupported_ref(candidate, source, candidate_entities):
-    if candidate_entities is None:
-        entities = extract_entities(candidate)
-    else:
-        entities = set(candidate_entities)
-    source_words = word_tokens(source, lowercase=True)
-    return {
-        e
-        for e in entities
-        if not contains_token_span(source_words, word_tokens(e))
-    }
-
-
-def _score_candidate_ref(words, source, heuristic_on, candidate_entities):
-    text = " ".join(words)
-    if not word_tokens(text):
-        return BeamScore(
-            f_f=0.0, f_b=0.0, r_f=readability_subscore(0.0), r_b=0.0, r=0.0
-        )
-    f_f = _fk_ref(text)
-    f_b = _lexical_ref(text, source)
-    r_f = readability_subscore(f_f)
-    r_b = consistency_subscore(f_b)
-    zeroed = bool(
-        heuristic_on and _unsupported_ref(text, source, candidate_entities)
-    )
-    r = 0.0 if zeroed else composite_score(r_f, r_b)
-    return BeamScore(
-        f_f=f_f, f_b=f_b, r_f=r_f, r_b=r_b, r=r, hallucination_zeroed=zeroed
-    )
-
-
 # ---------------------------------------------------------------------------
 # equality with the references
 
@@ -173,7 +121,9 @@ def test_score_candidate_equals_text_level_reference(
     got = score_candidate(
         words, source, _SHARED_SCORER, heuristic_on, candidate_entities=entities
     )
-    want = _score_candidate_ref(words, source, heuristic_on, entities)
+    want = _score_candidate_ref(
+        words, source, _lexical_ref, heuristic_on, entities
+    )
     for field in ("f_f", "f_b", "r_f", "r_b", "r", "hallucination_zeroed"):
         assert getattr(got, field) == getattr(want, field), field
     assert got == want
@@ -213,6 +163,88 @@ def test_entity_mention_words_are_their_own_tokenization(text, aware):
     mentions = entity_mentions(tokenize(text), sentence_position_aware=aware)
     for mention, words in mentions.items():
         assert list(words) == word_tokens(mention)
+
+
+# ---------------------------------------------------------------------------
+# plain words: scored from their words, equal to scoring their joined text
+
+# Names that recur capitalized, their lower-case forms, numerals, and
+# hyphen and apostrophe forms; every entry is one word token on its own.
+_PLAIN_POOL = (
+    "Smith", "John", "New", "York", "Aspirin", "Lee", "The",
+    "smith", "york", "aspirin", "the", "saw", "gave", "medicine",
+    "12", "0.73", "3", "1999", "3.5.1", "state-of-the-art", "don't",
+)
+_PLAIN_WORD = st.one_of(
+    st.sampled_from(_PLAIN_POOL),
+    st.from_regex(r"[A-Za-z0-9]{1,6}", fullmatch=True),
+)
+_PLAIN_WORDS = st.one_of(
+    st.lists(_PLAIN_WORD, min_size=1, max_size=10),
+    # a sentence-initial word repeated mid-sequence, as in "Smith saw Smith"
+    st.builds(
+        lambda first, middle, rest: [first, *middle, first, *rest],
+        st.sampled_from(("Smith", "John", "New", "Aspirin", "The", "12")),
+        st.lists(_PLAIN_WORD, max_size=3),
+        st.lists(_PLAIN_WORD, max_size=3),
+    ),
+)
+# Sources hold some of those words in another case.
+_PLAIN_SOURCE = st.one_of(
+    st.lists(
+        st.builds(
+            lambda word, case: case(word),
+            _PLAIN_WORD,
+            st.sampled_from((str, str.lower, str.upper, str.capitalize)),
+        ),
+        max_size=10,
+    ).map(" ".join),
+    _SOURCE,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PLAIN_WORDS, _PLAIN_SOURCE, st.booleans())
+def test_plain_words_score_as_their_joined_text(words, source, heuristic_on):
+    tl = tokenize(" ".join(words))
+    assert [t.surface for t in tl.tokens] == words
+    assert all(t.is_word and t.sentence_index == 0 for t in tl.tokens)
+    assert [t.is_sentence_initial for t in tl.tokens] == [True] + [False] * (
+        len(words) - 1
+    )
+    facts = rerank._plain_facts(words)
+    assert facts is not None
+    assert rerank._plain_mentions(words, facts) == entity_mentions(tl)
+    got = score_candidate(words, source, _SHARED_SCORER, heuristic_on)
+    want = _score_candidate_ref(words, source, _lexical_ref, heuristic_on)
+    for field in ("f_f", "f_b", "r_f", "r_b", "r", "hallucination_zeroed"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert got == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(
+            _POOL + _PLAIN_POOL + ("", " cat", "cat ", "New York", "cat\n")
+        ),
+        st.text(alphabet="aZ9.-'’ \n٣é", max_size=6),
+    )
+)
+def test_word_guard_accepts_exactly_one_word_token_equal_to_itself(word):
+    tokens = tokenize(word).tokens
+    plain = (
+        len(tokens) == 1 and tokens[0].is_word and tokens[0].surface == word
+    )
+    facts = rerank._word_facts(word)
+    assert (facts is not None) == plain
+    if plain:
+        tok = tokens[0]
+        assert facts == (
+            count_syllables(word),
+            tok.is_capitalized,
+            tok.is_numeric,
+        )
 
 
 def _eval_docs():
@@ -282,15 +314,20 @@ def tokenize_calls(monkeypatch):
     ],
     ids=["rerank_k5", "vanilla"],
 )
-def test_beam_search_tokenizes_each_candidate_once(tokenize_calls, config):
+def test_beam_search_over_plain_words_tokenizes_only_the_source(
+    tokenize_calls, config
+):
     example = make_examples(1)[0]
     lm = NGramLM.train(example.training_texts, order=2)
+    # the warm-up decode fills the per-word memo of every vocabulary word
+    beam_search(lm, example.document.input, config)
     tokenize_calls.clear()
+    prepare_source.cache_clear()
     result = beam_search(lm, example.document.input, config)
-    # the candidate once in score_candidate (the scorer reads its words
-    # with word_tokens), plus one preparation of the source for the decode
     assert result.scorer_calls >= 1
-    assert len(tokenize_calls) <= result.scorer_calls + 1
+    # one preparation of the source for the decode; every candidate is a
+    # sequence of plain words and is scored from them
+    assert tokenize_calls == [example.document.input]
 
 
 def test_evaluate_corpus_tokenizes_each_text_once(tokenize_calls):
