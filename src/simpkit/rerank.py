@@ -112,32 +112,6 @@ def _plain_facts(words: Sequence[str]) -> list[_WordFacts] | None:
     return None if None in facts else facts
 
 
-def _plain_mentions(
-    words: Sequence[str], facts: Sequence[_WordFacts]
-) -> dict[str, tuple[str, ...]]:
-    """:func:`~simpkit.textseg.entity_mentions` of ``" ".join(words)`` for
-    plain words, read from their facts: one sentence whose only
-    sentence-initial word is word 0."""
-    mentions = {}
-    later_caps = set()
-    run: list[str] = []
-    for word, fact in zip(words[1:], facts[1:]):
-        if fact.capitalized:
-            run.append(word)
-            later_caps.add(word)
-        elif run:
-            mentions[" ".join(run)] = tuple(run)
-            run = []
-    if run:
-        mentions[" ".join(run)] = tuple(run)
-    if facts[0].capitalized and words[0] in later_caps:
-        mentions[words[0]] = (words[0],)
-    for word, fact in zip(words, facts):
-        if fact.numeric:
-            mentions[word] = (word,)
-    return mentions
-
-
 def score_candidate(
     words: Sequence[str],
     source: str,
@@ -154,38 +128,46 @@ def score_candidate(
     ``candidate_entities`` supplies them.
 
     A candidate of plain words (each one word token on its own, as every
-    n-gram vocabulary word is) is scored from its words, with no tokenize:
+    n-gram vocabulary word is) is graded from its words, with no tokenize:
     the joined text is one sentence of exactly those words, so the grade
-    and the entity mentions follow from memoized per-word facts.  Any
-    other candidate, or one with ``candidate_entities``, is tokenized once
-    and every check reads that one token list.  Either way the scorer sees
-    the words joined by single spaces, and the source is prepared once per
-    source text (:func:`~simpkit.consistency.prepare_source`).
+    follows from memoized per-word facts.  Its entity check reads
+    :func:`~simpkit.textseg.entity_mentions` of the tokenized text only
+    when a word after the first is capitalized or a word is numeric;
+    otherwise no entity rule can fire on that one sentence, and nothing is
+    tokenized.  Any other candidate is tokenized once and every check
+    reads that one token list.  Either way the scorer sees the words
+    joined by single spaces, and the source is prepared once per source
+    text (:func:`~simpkit.consistency.prepare_source`).
     """
     text = " ".join(words)
-    facts = _plain_facts(words) if candidate_entities is None else None
-    if facts is not None:
-        f_f = _fk_grade(len(facts), 1, sum(f.syllables for f in facts))
-        mentions = _plain_mentions(words, facts) if heuristic_on else None
-    else:
+    facts = _plain_facts(words)
+    if facts is None:
         tl = tokenize(text)
         if not any(t.is_word for t in tl.tokens):
             return BeamScore(
                 f_f=0.0, f_b=0.0, r_f=readability_subscore(0.0), r_b=0.0, r=0.0
             )
         f_f = flesch_kincaid_tokens(tl)
-        mentions = None
-        if heuristic_on and candidate_entities is None:
-            mentions = entity_mentions(tl)
+    else:
+        tl = None
+        f_f = _fk_grade(len(facts), 1, sum(f.syllables for f in facts))
     f_b = scorer.score(text, source)
     r_f = readability_subscore(f_f)
     r_b = consistency_subscore(f_b)
-    if not heuristic_on:
-        zeroed = False
-    elif mentions is not None:
-        zeroed = bool(prepare_source(source).unsupported(mentions))
-    else:
-        zeroed = bool(unsupported_entities(text, source, candidate_entities))
+    zeroed = False
+    if heuristic_on:
+        if candidate_entities is not None:
+            zeroed = bool(unsupported_entities(text, source, candidate_entities))
+        # In one sentence of plain words, word 0 is the only sentence-initial
+        # word: a capitalized run needs a capitalized word after it, a
+        # repeated sentence-initial name implies one, and rule 3 a numeral.
+        elif (
+            facts is None
+            or any(f.numeric for f in facts)
+            or any(f.capitalized for f in facts[1:])
+        ):
+            mentions = entity_mentions(tokenize(text) if tl is None else tl)
+            zeroed = bool(prepare_source(source).unsupported(mentions))
     r = 0.0 if zeroed else composite_score(r_f, r_b)
     return BeamScore(
         f_f=f_f, f_b=f_b, r_f=r_f, r_b=r_b, r=r, hallucination_zeroed=zeroed

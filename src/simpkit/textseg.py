@@ -18,7 +18,9 @@ values are reproducible from this file alone:
   silent-e subtraction and a floor of one.
 * Entities are capitalized token runs off sentence-initial position,
   sentence-initial capitalized tokens that also occur capitalized elsewhere
-  mid-sentence, and numeric tokens.
+  mid-sentence, and numeric tokens.  One function, ``_entity_token_spans``,
+  applies these rules; :func:`entity_mentions`, :func:`extract_entities` and
+  :func:`entity_word_positions` all read its spans.
 """
 
 from __future__ import annotations
@@ -230,10 +232,12 @@ def word_tokens(text: str, lowercase: bool = False) -> list[str]:
     return surfaces
 
 
-def _entity_spans(
+def _entity_token_spans(
     tl: TokenList, sentence_position_aware: bool
 ) -> list[tuple[int, ...]]:
-    """Indices (into ``tl.tokens``) of maximal capitalized-run spans."""
+    """Indices (into ``tl.tokens``) of each entity mention, by the three
+    rules of :func:`extract_entities`: the capitalized runs of rule 1
+    first, then the single tokens of rules 2 and 3."""
 
     def starts_span(tok: Token) -> bool:
         if not (tok.is_word and tok.is_capitalized):
@@ -257,35 +261,23 @@ def _entity_spans(
             i = j + 1
         else:
             i += 1
-    return spans
-
-
-def _all_entity_token_indices(
-    tl: TokenList, sentence_position_aware: bool
-) -> tuple[list[tuple[int, ...]], set[int]]:
-    """Entity spans plus single-token entity indices (rules R2 and R3)."""
-    spans = _entity_spans(tl, sentence_position_aware)
-    singles: set[int] = set()
 
     if sentence_position_aware:
         mid_sentence_caps = {
             t.surface
-            for t in tl.tokens
+            for t in toks
             if t.is_word and t.is_capitalized and not t.is_sentence_initial
         }
-        for idx, tok in enumerate(tl.tokens):
-            if (
-                tok.is_word
-                and tok.is_capitalized
-                and tok.is_sentence_initial
-                and tok.surface in mid_sentence_caps
-            ):
-                singles.add(idx)
-
-    for idx, tok in enumerate(tl.tokens):
-        if tok.is_numeric:
-            singles.add(idx)
-    return spans, singles
+        spans.extend(
+            (idx,)
+            for idx, tok in enumerate(toks)
+            if tok.is_word
+            and tok.is_capitalized
+            and tok.is_sentence_initial
+            and tok.surface in mid_sentence_caps
+        )
+    spans.extend((idx,) for idx, tok in enumerate(toks) if tok.is_numeric)
+    return spans
 
 
 def extract_entities(
@@ -324,14 +316,12 @@ def entity_mentions(
     ``tl`` without tokenizing the mention again.  A numeric token that is
     not a word token (its first digit is not ASCII) has no word surfaces.
     """
-    spans, singles = _all_entity_token_indices(tl, sentence_position_aware)
     mentions = {}
-    for span in spans:
-        words = tuple(tl.tokens[i].surface for i in span)
-        mentions[" ".join(words)] = words
-    for i in singles:
-        tok = tl.tokens[i]
-        mentions[tok.surface] = (tok.surface,) if tok.is_word else ()
+    for span in _entity_token_spans(tl, sentence_position_aware):
+        toks = [tl.tokens[i] for i in span]
+        mentions[" ".join(t.surface for t in toks)] = tuple(
+            t.surface for t in toks if t.is_word
+        )
     return mentions
 
 
@@ -345,10 +335,11 @@ def entity_word_positions(
     with spaces.
     """
     tl = tokenize(text)
-    spans, singles = _all_entity_token_indices(tl, sentence_position_aware)
-    covered = {i for span in spans for i in span}
-    covered.update(singles)
-
+    covered = {
+        i
+        for span in _entity_token_spans(tl, sentence_position_aware)
+        for i in span
+    }
     word_position = {}
     seen_words = 0
     for idx, tok in enumerate(tl.tokens):

@@ -246,14 +246,20 @@ def hallucinated_set(
     supported = set(word_tokens(input_text, lowercase=True))
     supported.update(word_tokens(label_text, lowercase=True))
 
-    joined = " ".join(greedy_sequence)
-    entity_positions = entity_word_positions(
-        joined, sentence_position_aware=False
-    )
+    # Positions count the word tokens of the joined decode; a decoded word
+    # may give none or several, so map each position to the word it came
+    # from (space-joined words tokenize apart).
+    owner = [i for i, w in enumerate(greedy_sequence) for _ in word_tokens(w)]
+    entity_owners = {
+        owner[position]
+        for position in entity_word_positions(
+            " ".join(greedy_sequence), sentence_position_aware=False
+        )
+    }
 
     indices = set()
-    for position, word in enumerate(greedy_sequence):
-        if position not in entity_positions:
+    for i, word in enumerate(greedy_sequence):
+        if i not in entity_owners:
             continue
         if word.lower() in supported:
             continue

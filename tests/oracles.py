@@ -28,7 +28,6 @@ from simpkit.rerank import BeamScore
 from simpkit.textseg import (
     contains_token_span,
     count_syllables,
-    extract_entities,
     tokenize,
     word_tokens,
 )
@@ -213,9 +212,63 @@ def _fk_ref(text):
     )
 
 
+def _entities_ref(text, aware):
+    """``(mention, word positions)`` for each entity of ``text``, from the
+    three rules of the ``textseg`` module docstring over ``tokenize``
+    output, with none of its entity helpers.
+
+    Rule 1: each maximal run of consecutive capitalized word tokens in one
+    sentence, skipping (when ``aware``) sentence-initial tokens.  Rule 2
+    (when ``aware``): a sentence-initial capitalized word token whose
+    surface is also capitalized off sentence-initial position.  Rule 3:
+    each numeric token; one whose first digit is not ASCII is no word
+    token and covers no word position.
+    """
+    tokens = tokenize(text).tokens
+    position = {}
+    for i, tok in enumerate(tokens):
+        if tok.is_word:
+            position[i] = len(position)
+    found = []
+
+    def in_run(item):
+        tok = item[1]
+        eligible = tok.is_word and tok.is_capitalized
+        if aware and tok.is_sentence_initial:
+            eligible = False
+        return eligible, tok.sentence_index
+
+    for (eligible, _), group in itertools.groupby(enumerate(tokens), in_run):
+        if eligible:
+            group = list(group)
+            found.append(
+                (
+                    " ".join(tok.surface for _, tok in group),
+                    tuple(position[i] for i, _ in group),
+                )
+            )
+    if aware:
+        later = set()
+        for tok in tokens:
+            if tok.is_word and tok.is_capitalized and not tok.is_sentence_initial:
+                later.add(tok.surface)
+        for i, tok in enumerate(tokens):
+            if (
+                tok.is_word
+                and tok.is_capitalized
+                and tok.is_sentence_initial
+                and tok.surface in later
+            ):
+                found.append((tok.surface, (position[i],)))
+    for i, tok in enumerate(tokens):
+        if tok.is_numeric:
+            found.append((tok.surface, (position[i],) if tok.is_word else ()))
+    return found
+
+
 def _unsupported_ref(candidate, source, candidate_entities):
     if candidate_entities is None:
-        entities = extract_entities(candidate)
+        entities = {mention for mention, _ in _entities_ref(candidate, True)}
     else:
         entities = set(candidate_entities)
     source_words = word_tokens(source, lowercase=True)

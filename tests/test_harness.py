@@ -358,6 +358,24 @@ def test_loss_command_computes_all_terms(tmp_path, capsys):
     )
 
 
+def test_loss_taxes_the_greedy_word_behind_each_entity(tmp_path, capsys):
+    # the greedy decode is [".", "Aspirin"]: only "Aspirin" is an entity
+    steps = str(tmp_path / "steps.json")
+    with open(steps, "w", encoding="utf-8") as handle:
+        json.dump(
+            {
+                "vocab": [".", "Aspirin", "the"],
+                "steps": [[0.5, 0.25, 0.25], [0.1, 0.8, 0.1]],
+                "nll": 1.0,
+            },
+            handle,
+        )
+    rc = run_cli(["loss", "--steps", steps, "--input", "the", "--label", "the"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert f"UL_C = {-math.log(1.0 - 0.8):.6f}" in out
+
+
 def test_loss_nll_flag_overrides_target(tmp_path, capsys):
     steps = _steps_payload(tmp_path, target=["simple", "hemorrhage"])
     rc = run_cli([

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import _entities_ref
 from simpkit import textseg
 from simpkit.textseg import (
     ABBREVIATIONS,
     Token,
     contains_token_span,
     count_syllables,
+    entity_mentions,
     entity_word_positions,
     extract_entities,
     tokenize,
@@ -154,6 +156,47 @@ def test_entity_word_positions():
         "Take Aspirin with Advil daily", sentence_position_aware=False
     ) == {0, 1, 3}
     assert entity_word_positions("plain lowercase words here") == set()
+
+
+# Names, "Dr. Smith", commas that break capitalized runs, plain words and
+# numerals, including a non-ASCII digit that is numeric but no word token.
+_ENTITY_PIECES = (
+    "Smith", "John", "New", "York", "Aspirin", "Lee", "Dr. Smith", "Dr.",
+    "Smith,", "York,", ",", "the", "cat", "gave", "saw", "in",
+    "3.5.1", "0.73", "12", "٣", "e.g.", "Émile",
+)
+_ENTITY_SENTENCE = st.one_of(
+    st.lists(st.sampled_from(_ENTITY_PIECES), min_size=1, max_size=8),
+    # a sentence-initial name repeated mid-sentence
+    st.builds(
+        lambda name, middle: [name, *middle, name],
+        st.sampled_from(("Smith", "Aspirin", "New", "Lee")),
+        st.lists(st.sampled_from(_ENTITY_PIECES), max_size=4),
+    ),
+).map(" ".join)
+_ENTITY_TEXT = st.lists(
+    st.tuples(_ENTITY_SENTENCE, st.sampled_from((".", "!", "?", ""))),
+    min_size=1,
+    max_size=4,
+).map(lambda sentences: " ".join(s + end for s, end in sentences))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ENTITY_TEXT, st.booleans())
+def test_entity_functions_equal_the_rule_reference(text, aware):
+    ref = _entities_ref(text, aware)
+    mentions = {mention for mention, _ in ref}
+    assert extract_entities(text, sentence_position_aware=aware) == mentions
+    assert set(
+        entity_mentions(tokenize(text), sentence_position_aware=aware)
+    ) == mentions
+    covered = entity_word_positions(text, sentence_position_aware=aware)
+    assert covered == {p for _, positions in ref for p in positions}
+    if not aware:
+        words = tokenize(text).words()
+        assert covered == {
+            i for i, t in enumerate(words) if t.is_capitalized or t.is_numeric
+        }
 
 
 def test_contains_token_span():

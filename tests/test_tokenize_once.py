@@ -212,9 +212,7 @@ def test_plain_words_score_as_their_joined_text(words, source, heuristic_on):
     assert [t.is_sentence_initial for t in tl.tokens] == [True] + [False] * (
         len(words) - 1
     )
-    facts = rerank._plain_facts(words)
-    assert facts is not None
-    assert rerank._plain_mentions(words, facts) == entity_mentions(tl)
+    assert rerank._plain_facts(words) is not None
     got = score_candidate(words, source, _SHARED_SCORER, heuristic_on)
     want = _score_candidate_ref(words, source, _lexical_ref, heuristic_on)
     for field in ("f_f", "f_b", "r_f", "r_b", "r", "hallucination_zeroed"):
@@ -328,6 +326,21 @@ def test_beam_search_over_plain_words_tokenizes_only_the_source(
     # one preparation of the source for the decode; every candidate is a
     # sequence of plain words and is scored from them
     assert tokenize_calls == [example.document.input]
+
+
+@pytest.mark.parametrize(
+    "words, calls",
+    [(["The", "cat", "sat"], 0), (["the", "Cat"], 1), (["the", "12"], 1)],
+)
+def test_plain_words_tokenize_only_when_an_entity_rule_can_fire(
+    tokenize_calls, words, calls
+):
+    source = "the cat sat"
+    # the warm-up call fills the per-word memo and prepares the source
+    score_candidate(words, source, _SHARED_SCORER)
+    tokenize_calls.clear()
+    score_candidate(words, source, _SHARED_SCORER)
+    assert tokenize_calls == [" ".join(words)] * calls
 
 
 def test_evaluate_corpus_tokenizes_each_text_once(tokenize_calls):

@@ -147,6 +147,16 @@ def test_hallucinated_set_vocab_error():
         hallucinated_set(["Advil"], "a pill", "a dose", ("a", "pill"))
 
 
+def test_hallucinated_set_taxes_the_word_that_gave_the_entity():
+    # "." gives no word token and "New York" gives two, so word-token
+    # positions of the joined decode are not positions in the decode
+    vocab = (".", "Aspirin", "the", "New York", "Zed")
+    found = hallucinated_set([".", "Aspirin"], "the", "the", vocab)
+    assert found.indices == frozenset({1})
+    found = hallucinated_set(["New York", "the", "Zed"], "the", "the", vocab)
+    assert found.indices == frozenset({3, 4})
+
+
 def test_hallucination_set_word_file_round_trip(tmp_path):
     vocab = ("alpha", "Beta", "gamma")
     path = tmp_path / "hall.txt"
