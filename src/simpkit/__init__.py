@@ -10,7 +10,7 @@ Desk-scale, dependency-light implementations of:
   for a toy per-step model;
 * beam search over toy language models with rerank-every-k pruning;
 * SARI / ROUGE-LSum / source 4-gram overlap corpus evaluation;
-* a JSONL corpus harness, CLI, and factuality-judge prompt client.
+* a JSONL corpus harness, CLI, and the frozen factuality-judge prompt.
 """
 
 from .consistency import (
@@ -28,15 +28,9 @@ from .decoder import (
     DecoderConfig,
     LanguageModel,
     NGramLM,
-    TableLM,
     beam_search,
 )
-from .judge import (
-    Judgment,
-    build_judge_prompt,
-    judge_request,
-    parse_judgment,
-)
+from .judge import build_judge_prompt
 from .readability import (
     FkWeightTable,
     ari,

@@ -26,7 +26,7 @@ import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .consistency import ConsistencyScorer, LexicalScorer
 from .rerank import BeamScore, rank_beams, score_candidate
@@ -37,7 +37,6 @@ __all__ = [
     "BOS",
     "EOS",
     "LanguageModel",
-    "TableLM",
     "NGramLM",
     "DecoderConfig",
     "DecodeResult",
@@ -62,34 +61,6 @@ class LanguageModel(ABC):
         self, prefix: Sequence[str], source: str
     ) -> StepDistribution:
         """Distribution over ``vocab`` for the next token after ``prefix``."""
-
-
-class TableLM(LanguageModel):
-    """Scripted lookup-table model for exact decoder tests.
-
-    Maps emitted-prefix tuples to probability rows.  Unknown prefixes fall
-    back to ``default`` when given, otherwise raise KeyError.
-    """
-
-    def __init__(
-        self,
-        vocab: Sequence[str],
-        table: Mapping[tuple[str, ...], Sequence[float]],
-        default: Sequence[float] | None = None,
-    ):
-        self.vocab = tuple(vocab)
-        if len(set(self.vocab)) != len(self.vocab):
-            raise ValueError("vocab entries must be unique")
-        self._table = {tuple(k): tuple(v) for k, v in table.items()}
-        self._default = tuple(default) if default is not None else None
-
-    def next_distribution(
-        self, prefix: Sequence[str], source: str
-    ) -> StepDistribution:
-        row = self._table.get(tuple(prefix), self._default)
-        if row is None:
-            raise KeyError(f"no scripted distribution for prefix {tuple(prefix)!r}")
-        return StepDistribution(row)
 
 
 class NGramLM(LanguageModel):
@@ -252,9 +223,10 @@ def beam_search(
     probability; at rerank steps it is cut by :func:`rank_beams`.  Beams that
     end in EOS freeze and rejoin for the final selection, which reranks the
     finished (or max-length) pool once; with reranking disabled the final
-    pick is by log probability.  Never fails to produce an output: when the
-    heuristic zeroes every beam the best beam by adjusted log probability is
-    returned with ``fallback_used`` set.
+    pick is by log probability.  Either final selection considers the empty
+    sequence only when no final beam has words.  Never fails to produce an
+    output: when the heuristic zeroes every beam the best beam by adjusted
+    log probability is returned with ``fallback_used`` set.
 
     A beam is the tuple ``(-adjusted log_prob, indices, log_prob)``, where
     the adjusted value is ``log_prob / len(indices) ** length_penalty``
@@ -306,6 +278,9 @@ def beam_search(
     # Never empty: the root beam stays active when step 1 cannot expand,
     # and every later step keeps at least one beam.
     pool = finished + active
+    # Any beam with words beats the lone-EOS beam: ``simpkit eval`` rejects
+    # an empty output.
+    pool = [beam for beam in pool if _words(beam[1], vocab)] or pool
     best = min(pool, key=lambda beam: (beam[0], len(beam[1]), beam[1]))
     fallback_used = False
     if config.rerank_enabled:

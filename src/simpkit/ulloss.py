@@ -116,8 +116,12 @@ class LossConfig:
     epsilon: float = 1e-12
 
     def __post_init__(self):
-        if self.lambda_r < 0 or self.lambda_c < 0:
-            raise ValueError("lambda weights must be >= 0")
+        for name in ("lambda_r", "lambda_c"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}"
+                )
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from simpkit.consistency import LexicalScorer
-from simpkit.decoder import BOS, EOS, DecoderConfig, LanguageModel, TableLM
+from simpkit.decoder import BOS, EOS, DecoderConfig, LanguageModel
 from simpkit.readability import (
     FK_BASE,
     FK_SYLLABLES_PER_WORD,
@@ -347,6 +348,34 @@ def min_argmax_gap(probs):
 # decoder: from-scratch search loop over word-string beams
 
 
+class TableLM(LanguageModel):
+    """Scripted lookup-table model for exact decoder tests.
+
+    Maps emitted-prefix tuples to probability rows.  Unknown prefixes fall
+    back to ``default`` when given, otherwise raise KeyError.
+    """
+
+    def __init__(
+        self,
+        vocab: Sequence[str],
+        table: Mapping[tuple[str, ...], Sequence[float]],
+        default: Sequence[float] | None = None,
+    ):
+        self.vocab = tuple(vocab)
+        if len(set(self.vocab)) != len(self.vocab):
+            raise ValueError("vocab entries must be unique")
+        self._table = {tuple(k): tuple(v) for k, v in table.items()}
+        self._default = tuple(default) if default is not None else None
+
+    def next_distribution(
+        self, prefix: Sequence[str], source: str
+    ) -> StepDistribution:
+        row = self._table.get(tuple(prefix), self._default)
+        if row is None:
+            raise KeyError(f"no scripted distribution for prefix {tuple(prefix)!r}")
+        return StepDistribution(row)
+
+
 def greedy_decode(lm, source="", max_length=128):
     """Repeated argmax decoding until EOS or ``max_length`` tokens: the
     width-1 reference for vanilla beam search.
@@ -517,6 +546,8 @@ def beam_search_brute(
                 active.append(cand)
 
     pool = finished + active
+    # The empty sequence is a final candidate only when no other is left.
+    pool = [cand for cand in pool if _strip(cand[0])] or pool
     if not pool:
         empty = BeamScore(f_f=0.0, f_b=0.0, r_f=1.0, r_b=0.0, r=0.0)
         return OracleDecode(

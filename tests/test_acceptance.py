@@ -22,6 +22,7 @@ import numpy as np
 
 import conftest
 from oracles import (
+    TableLM,
     beam_search_brute,
     composite_brute,
     finite_difference_gradient,
@@ -33,7 +34,7 @@ from oracles import (
 )
 from simpkit.consistency import consistency_subscore, unsupported_entities
 from simpkit.corpus import Document
-from simpkit.decoder import EOS, DecoderConfig, NGramLM, TableLM, beam_search
+from simpkit.decoder import EOS, DecoderConfig, NGramLM, beam_search
 from simpkit.judge import build_judge_prompt
 from simpkit.readability import (
     FkWeightTable,

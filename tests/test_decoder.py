@@ -7,9 +7,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     OracleDecode,
+    TableLM,
     beam_search_brute,
     greedy_decode,
     random_table_lm,
@@ -19,7 +22,6 @@ from simpkit.decoder import (
     EOS,
     DecoderConfig,
     NGramLM,
-    TableLM,
     beam_search,
 )
 from simpkit.rerank import BeamScore
@@ -134,6 +136,65 @@ def test_beam_search_root_survives_when_nothing_expands(mode, alpha):
     assert result.rerank_steps == ()
     assert result.scorer_calls == 0
     assert result.steps_run == 1
+
+
+@pytest.mark.parametrize("mode", ["rerank", "vanilla"])
+def test_final_selection_prefers_a_beam_with_words(mode):
+    """The one-step EOS beam has no words.  Under reranking it ties with
+    ``Aspirin`` on r = 0 and on log probability, and used to win as the
+    shorter beam; under vanilla decoding it outweighs ``a``.  The beam with
+    words is chosen either way."""
+    if mode == "rerank":
+        lm = TableLM(
+            ["Aspirin", "the", EOS],
+            {(): [0.5, 0, 0.5], ("Aspirin",): [0, 0, 1]},
+        )
+        config = DecoderConfig(beam_width=2, rerank_interval=1)
+        want = ("Aspirin",)
+    else:
+        lm = TableLM(["a", EOS], {(): [0.4, 0.6], ("a",): [0, 1]})
+        config = DecoderConfig.vanilla(beam_width=2)
+        want = ("a",)
+    result = _assert_matches_oracle(lm, "the cat", config)
+    assert result.tokens == want
+
+
+_TRAINING_WORDS = st.sampled_from(
+    ("the", "cat", "sat", "patients", "took", "Aspirin", "Warfarin", "20", "mg")
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(
+        st.lists(_TRAINING_WORDS, min_size=1, max_size=5).map(" ".join),
+        min_size=1,
+        max_size=4,
+    ),
+    source=st.lists(_TRAINING_WORDS, max_size=6).map(" ".join),
+    order=st.integers(1, 3),
+    beam_width=st.integers(2, 4),
+    rerank_interval=st.integers(1, 7),
+    max_length=st.integers(1, 6),
+    heuristic_on=st.booleans(),
+    length_penalty=st.sampled_from((0.0, 0.5, 1.0)),
+)
+def test_ngram_decodes_are_never_empty(
+    texts, source, order, beam_width, rerank_interval, max_length,
+    heuristic_on, length_penalty,
+):
+    """At width >= 2 step 1 keeps a beam with words, since only one of its
+    candidates is the lone EOS, so the final pool always has one too.
+    Intervals past ``max_length`` decode vanilla."""
+    lm = NGramLM.train(texts, order=order)
+    config = DecoderConfig(
+        beam_width=beam_width,
+        rerank_interval=rerank_interval,
+        max_length=max_length,
+        heuristic_on=heuristic_on,
+        length_penalty=length_penalty,
+    )
+    assert _assert_matches_oracle(lm, source, config).tokens != ()
 
 
 def test_beam_search_output_invariants():

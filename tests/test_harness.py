@@ -212,6 +212,38 @@ def test_decode_with_a_huge_ngram_order(tmp_path, capsys):
     assert outputs["11"] == outputs["1000000000000000000"]
 
 
+def test_decode_writes_no_empty_output_that_eval_rejects(tmp_path, capsys):
+    """At k=1 every worded beam of the final pool scores r = 0: it names a
+    drug or dose the source lacks, or falls below the consistency floor.
+    The one-step EOS beam, with no words, used to win that pool on log
+    probability and be written as an empty output."""
+    drugs = ("Aspirin", "Ibuprofen", "Warfarin", "Insulin", "Heparin",
+             "Metformin", "Lisinopril", "Digoxin")
+    docs = [
+        Document(
+            id=f"{drug}-{dose}",
+            input=f"the ward said that patients took {drug} {dose} mg "
+                  "each day with food",
+            label=f"patients took {drug} {dose} mg daily",
+        )
+        for drug in drugs
+        for dose in (5, 10, 20, 40, 80)
+    ]
+    corpus = str(tmp_path / "drugs.jsonl")
+    dump_jsonl(docs, corpus)
+    out = str(tmp_path / "decoded.jsonl")
+    rc = run_cli([
+        "decode", "--corpus", corpus, "--out", out,
+        "--rerank-k", "1", "--max-length", "12",
+    ])
+    assert rc == 0
+    records = [json.loads(line) for line in open(out, encoding="utf-8")]
+    assert len(records) == 40
+    assert all(record["output"] for record in records)
+    assert run_cli(["eval", "--corpus", corpus, "--outputs", out]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("target", ["nodir/o.jsonl", "."])
 def test_unwritable_out_is_a_data_error(corpus_path, tmp_path, capsys, target):
     out = str(tmp_path / target)
@@ -609,9 +641,15 @@ def test_undecodable_files_are_data_errors(tmp_path, capsys, name):
          "non-empty strings"),
         ('{"vocab": ["a"], "steps": [[1.0]]}', ["--nll", "nan"], 1,
          "--nll must be finite"),
+        ('{"vocab": ["a"], "steps": [[1.0]], "nll": 1}', ["--lambda-r", "nan"],
+         1, "error: lambda_r must be finite and >= 0, got nan"),
+        ('{"vocab": ["a"], "steps": [[1.0]], "nll": 1}', ["--lambda-r", "inf"],
+         1, "error: lambda_r must be finite and >= 0, got inf"),
+        ('{"vocab": ["a"], "steps": [[1.0]], "nll": 1}', ["--lambda-c", "nan"],
+         1, "error: lambda_c must be finite and >= 0, got nan"),
     ],
     ids=["list-target", "zero-target", "inf-nll", "huge-nll", "empty-word",
-         "nan-flag"],
+         "nan-flag", "nan-lambda-r", "inf-lambda-r", "nan-lambda-c"],
 )
 def test_loss_rejects_bad_values(tmp_path, capsys, payload, flags, rc, message):
     steps = tmp_path / "steps.json"

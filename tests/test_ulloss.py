@@ -178,6 +178,12 @@ def test_loss_config_defaults_and_validation():
         LossConfig(lambda_r=-1.0)
     with pytest.raises(ValueError):
         LossConfig(epsilon=0.0)
+    # NaN fails every comparison, so a bare ``< 0`` check lets it through.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="lambda_r must be finite"):
+            LossConfig(lambda_r=bad)
+        with pytest.raises(ValueError, match="lambda_c must be finite"):
+            LossConfig(lambda_c=bad)
 
 
 def test_toy_model_validation():
