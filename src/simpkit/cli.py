@@ -372,6 +372,12 @@ def _cmd_loss(args) -> int:
         raise DataError("steps file: vocab must be a list of non-empty strings")
     if not isinstance(rows, list) or not rows:
         raise DataError("steps file: steps must be a non-empty list of rows")
+    for step, row in enumerate(rows):
+        # JSON true and false load as bool, a subclass of int.
+        if not isinstance(row, list) or not all(
+            isinstance(p, (int, float)) and not isinstance(p, bool) for p in row
+        ):
+            raise DataError(f"steps file: step {step} must be a list of numbers")
 
     try:
         config = LossConfig(
@@ -408,7 +414,7 @@ def _cmd_loss(args) -> int:
                 or word not in index_of
             ):
                 raise DataError("steps file: bad target sequence")
-            p = float(dists[step].probs[index_of[word]])
+            p = dists[step].probs[index_of[word]]
             if p == 0.0:
                 raise DataError(
                     f"steps file: target {word!r} has probability 0 "

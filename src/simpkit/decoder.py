@@ -67,12 +67,14 @@ class NGramLM(LanguageModel):
     """Add-one smoothed n-gram model trained on plain texts.
 
     The vocabulary is the sorted set of training word tokens followed by the
-    BOS and EOS markers; smoothing counts every vocabulary entry, markers
-    included, so with context count ``T`` and vocabulary size ``V`` the
-    probability of token ``w`` is ``(count(w) + 1) / (T + V)``.  Unseen
-    contexts therefore yield the uniform distribution.  ``order=1`` is a
-    context-free unigram model; :meth:`train` caps ``order`` at two more than
-    the longest training text's word count, which changes no row.
+    BOS and EOS markers, which no word token equals: a word token starts
+    with an ASCII letter or digit, so ``<s>`` in a text is the word ``s``.
+    Smoothing counts every vocabulary entry, markers included, so with
+    context count ``T`` and vocabulary size ``V`` the probability of token
+    ``w`` is ``(count(w) + 1) / (T + V)``.  Unseen contexts therefore yield
+    the uniform distribution.  ``order=1`` is a context-free unigram model;
+    :meth:`train` caps ``order`` at two more than the longest training
+    text's word count, which changes no row.
 
     The model conditions on the source only through what it was trained on;
     ``next_distribution`` ignores the source argument.
@@ -94,8 +96,6 @@ class NGramLM(LanguageModel):
         if not token_lists:
             raise ValueError("training corpus is empty")
         words = {w for tokens in token_lists for w in tokens}
-        if BOS in words or EOS in words:
-            raise ValueError("training text contains a reserved marker")
         # A context longer than every text plus its EOS always starts with
         # BOS padding, so larger orders give the same rows.
         order = min(order, max(map(len, token_lists)) + 2)
@@ -218,15 +218,22 @@ def beam_search(
     """Beam search with composite reranking every ``config.rerank_interval``
     steps.
 
-    Expansion is exhaustive over positive-probability non-BOS tokens.  At
-    plain steps the candidate pool is cut to ``beam_width`` by adjusted log
-    probability; at rerank steps it is cut by :func:`rank_beams`.  Beams that
+    Beams expand onto positive-probability non-BOS tokens.  At rerank steps
+    every such child joins the pool, which :func:`rank_beams` cuts to
+    ``beam_width``.  At plain steps the pool is cut by adjusted log
+    probability, so each parent adds only the children that can survive
+    that cut: walking its tokens by falling probability, those up to the
+    ``beam_width``-th child's key plus every later child with an equal key
+    (two probabilities can round to one key, and that tie breaks on index),
+    at most ``beam_width`` from each run of equal probabilities.  Beams that
     end in EOS freeze and rejoin for the final selection, which reranks the
     finished (or max-length) pool once; with reranking disabled the final
-    pick is by log probability.  Either final selection considers the empty
-    sequence only when no final beam has words.  Never fails to produce an
-    output: when the heuristic zeroes every beam the best beam by adjusted
-    log probability is returned with ``fallback_used`` set.
+    pick is by log probability.  Either final selection considers only the
+    beams whose text has word tokens, the test ``simpkit eval`` applies to
+    an output, unless no final beam has any, when it considers them all.
+    Never fails to produce an output: when the heuristic zeroes every beam
+    the best beam by adjusted log probability is returned with
+    ``fallback_used`` set.
 
     A beam is the tuple ``(-adjusted log_prob, indices, log_prob)``, where
     the adjusted value is ``log_prob / len(indices) ** length_penalty``
@@ -238,7 +245,7 @@ def beam_search(
     """
     counting = _CountingScorer(scorer if scorer is not None else LexicalScorer())
     vocab = tuple(lm.vocab)
-    bos = {v for v, word in enumerate(vocab) if word == BOS}
+    allowed = [v for v, word in enumerate(vocab) if word != BOS]
 
     active = [(0.0, (), 0.0)]
     finished = []
@@ -250,21 +257,22 @@ def beam_search(
             break
         steps_run = step
         length_scale = step**config.length_penalty
+        rerank_now = config.rerank_enabled and step % config.rerank_interval == 0
         pool = []
-        for _, indices, beam_log_prob in active:
+        for beam in active:
+            indices = beam[1]
             assert len(indices) == step - 1, "beam length out of step"
             prefix = tuple(vocab[i] for i in indices)
             dist = lm.next_distribution(prefix, source)
             if len(dist) != len(vocab):
                 raise ValueError("distribution size does not match model vocab")
-            for v, p in enumerate(dist.probs.tolist()):
-                if p <= 0.0 or v in bos:
-                    continue
-                log_prob = beam_log_prob + math.log(p)
-                pool.append((-log_prob / length_scale, indices + (v,), log_prob))
+            pool += _children(
+                beam, dist.probs, allowed, length_scale,
+                None if rerank_now else config.beam_width,
+            )
         if not pool:
             break
-        if config.rerank_enabled and step % config.rerank_interval == 0:
+        if rerank_now:
             rerank_steps.append(step)
             ranked = _rank_pool(
                 pool, vocab, source, counting, config, config.beam_width
@@ -278,9 +286,11 @@ def beam_search(
     # Never empty: the root beam stays active when step 1 cannot expand,
     # and every later step keeps at least one beam.
     pool = finished + active
-    # Any beam with words beats the lone-EOS beam: ``simpkit eval`` rejects
-    # an empty output.
-    pool = [beam for beam in pool if _words(beam[1], vocab)] or pool
+    # Any beam with word tokens beats one without: ``simpkit eval`` rejects
+    # an output with none.
+    pool = [
+        beam for beam in pool if word_tokens(" ".join(_words(beam[1], vocab)))
+    ] or pool
     best = min(pool, key=lambda beam: (beam[0], len(beam[1]), beam[1]))
     fallback_used = False
     if config.rerank_enabled:
@@ -306,6 +316,49 @@ def beam_search(
         scorer_calls=counting.calls,
         steps_run=steps_run,
     )
+
+
+def _children(
+    beam: tuple[float, tuple[int, ...], float],
+    probs: tuple[float, ...],
+    allowed: list[int],
+    length_scale: float,
+    width: int | None,
+) -> list[tuple[float, tuple[int, ...], float]]:
+    """The children of ``beam`` onto the ``allowed`` tokens of positive
+    probability, as beam tuples, by falling probability (equal
+    probabilities in index order).
+
+    With ``width`` set, only those that can be among the ``width`` best of a
+    step pruned by log probability: the walk stops at the first key past
+    the ``width``-th child's.  Children whose key equals that key come
+    along, since two probabilities can round to one key and that tie breaks
+    on index; of a run of equal probabilities only the first ``width`` can
+    be kept.  Keys never fall along the walk, because ``math.log`` never
+    decreases as ``p`` grows and float addition and division round
+    monotonically.
+    """
+    _, indices, beam_log_prob = beam
+    children = []
+    threshold = math.inf
+    run_p = run_len = None
+    for v in sorted(allowed, key=probs.__getitem__, reverse=True):
+        p = probs[v]
+        if p != run_p:
+            if p <= 0.0:
+                break
+            log_prob = beam_log_prob + math.log(p)
+            key = -log_prob / length_scale
+            if key > threshold:
+                break
+            run_p, run_len = p, 0
+        elif run_len == width:
+            continue
+        run_len += 1
+        children.append((key, indices + (v,), log_prob))
+        if len(children) == width:
+            threshold = key
+    return children
 
 
 def _rank_pool(

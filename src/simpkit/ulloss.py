@@ -51,32 +51,37 @@ _SUM_TOLERANCE = 1e-9
 class StepDistribution:
     """A validated probability distribution over the vocabulary at one step.
 
-    Probabilities must be in [0, 1] and sum to 1 within 1e-9.  The argmax
-    breaks ties toward the lowest index and is fixed at construction.
+    ``probs`` is a tuple of floats.  Probabilities must be in [0, 1] and sum
+    to 1 within 1e-9.  The argmax breaks ties toward the lowest index and is
+    fixed at construction.
     """
 
     __slots__ = ("probs", "argmax_index")
 
     def __init__(self, probs: Sequence[float]):
-        array = np.asarray(probs, dtype=float)
-        if array.ndim != 1 or array.size == 0:
+        try:
+            row = tuple(map(float, probs))
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("probs must be finite") from None
+        except TypeError:  # a scalar, or a row of rows
+            row = ()
+        if not row:
             raise ValueError("probs must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(array)):
+        if not all(map(math.isfinite, row)):
             raise ValueError("probs must be finite")
-        if np.any(array < 0.0) or np.any(array > 1.0):
+        top = max(row)
+        if min(row) < 0.0 or top > 1.0:
             raise ValueError("probs must lie in [0, 1]")
-        total = float(array.sum())
+        total = math.fsum(row)
         if abs(total - 1.0) > _SUM_TOLERANCE:
             raise ValueError(
                 f"probs must sum to 1 within {_SUM_TOLERANCE}, got {total!r}"
             )
-        array = array.copy()
-        array.setflags(write=False)
-        self.probs = array
-        self.argmax_index = int(np.argmax(array))
+        self.probs = row
+        self.argmax_index = row.index(top)
 
     def __len__(self) -> int:
-        return int(self.probs.size)
+        return len(self.probs)
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,7 @@ class ToyModel:
         return _softmax(self.logits)
 
     def step_distributions(self) -> list[StepDistribution]:
-        return [StepDistribution(row) for row in self.probs()]
+        return [StepDistribution(row) for row in self.probs().tolist()]
 
     def nll(self, targets: Sequence[int]) -> float:
         """Cross-entropy of the target index sequence, one index per step."""
@@ -214,7 +219,7 @@ def ul_readability(
             raise ValueError("distribution size does not match vocab")
         word = vocab[dist.argmax_index]
         weight = weights[word]
-        p = float(dist.probs[dist.argmax_index])
+        p = dist.probs[dist.argmax_index]
         total += weight * _clamped_log_complement(p, epsilon)
     return total
 
@@ -228,7 +233,7 @@ def ul_consistency(
     total = 0.0
     for dist in steps:
         if dist.argmax_index in hallucinated:
-            p = float(dist.probs[dist.argmax_index])
+            p = dist.probs[dist.argmax_index]
             total += _clamped_log_complement(p, epsilon)
     return total
 

@@ -546,8 +546,9 @@ def beam_search_brute(
                 active.append(cand)
 
     pool = finished + active
-    # The empty sequence is a final candidate only when no other is left.
-    pool = [cand for cand in pool if _strip(cand[0])] or pool
+    # A sequence with no word tokens is a final candidate only when every
+    # other is too.
+    pool = [c for c in pool if word_tokens(" ".join(_strip(c[0])))] or pool
     if not pool:
         empty = BeamScore(f_f=0.0, f_b=0.0, r_f=1.0, r_b=0.0, r=0.0)
         return OracleDecode(

@@ -90,6 +90,32 @@ def test_precomputed_scorer_lookup_and_errors(tmp_path):
         PrecomputedScorer.from_file(str(bad))
 
 
+def test_precomputed_scores_at_the_range_edges_are_accepted(tmp_path):
+    scorer = PrecomputedScorer({"lo": 0.0, "hi": 1.0})
+    assert (scorer.score("lo", ""), scorer.score("hi", "")) == (0.0, 1.0)
+    path = tmp_path / "edges.tsv"
+    path.write_text("lo\t0.0\nhi\t1.0\n", encoding="utf-8")
+    loaded = PrecomputedScorer.from_file(str(path))
+    assert (loaded.score("lo", ""), loaded.score("hi", "")) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("the cat\tabc\n", "line 1: bad score 'abc'"),
+        ("the cat\t0.5\nthe dog\tabc\n", "line 2: bad score 'abc'"),
+        ("the cat\t0.5\nthe dog\t1.5\n", "line 2: score out of range"),
+        ("the cat\t0.5\nthe dog\n", "line 2: expected key<TAB>score"),
+    ],
+)
+def test_scores_file_errors_name_the_line(tmp_path, text, message):
+    path = tmp_path / "scores.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        PrecomputedScorer.from_file(str(path))
+    assert str(info.value).startswith(message)
+
+
 def test_consistency_subscore_frozen():
     assert consistency_subscore(0.60) == 0.0
     assert consistency_subscore(0.5) == 0.0
@@ -102,6 +128,12 @@ def test_consistency_subscore_rejects_out_of_range():
     for bad in (-0.1, 1.1, float("nan")):
         with pytest.raises(ValueError):
             consistency_subscore(bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_consistency_subscore_rejects_values_that_are_not_finite(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        consistency_subscore(bad)
 
 
 @settings(max_examples=300)

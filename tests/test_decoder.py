@@ -89,6 +89,32 @@ def test_decoder_config_validation_and_vanilla():
     assert not vanilla.heuristic_on
 
 
+def test_decoder_config_defaults():
+    config = DecoderConfig()
+    assert dataclasses.astuple(config) == (4, 5, 128, True, 0.0)
+    vanilla = DecoderConfig.vanilla()
+    assert (vanilla.beam_width, vanilla.max_length) == (4, 128)
+
+
+def test_decoder_config_and_result_are_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        DecoderConfig().beam_width = 2
+    result = beam_search(NGramLM.train(["the cat"]), "the cat")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.tokens = ()
+
+
+def test_ngram_train_defaults_to_bigrams():
+    assert NGramLM.train(["a b c d"]).order == 2
+
+
+def test_ngram_train_reads_markers_as_word_tokens():
+    """Word tokens start with an ASCII letter or digit, so ``<s>`` and
+    ``</s>`` in a training text give the word ``s``, never a marker."""
+    lm = NGramLM.train(["<s> a </s>", "b"])
+    assert lm.vocab == ("a", "b", "s", BOS, EOS)
+
+
 def _greedy(lm, max_length):
     config = DecoderConfig.vanilla(beam_width=1, max_length=max_length)
     return beam_search(lm, "", config).tokens
@@ -157,6 +183,23 @@ def test_final_selection_prefers_a_beam_with_words(mode):
         want = ("a",)
     result = _assert_matches_oracle(lm, "the cat", config)
     assert result.tokens == want
+
+
+@pytest.mark.parametrize("rerank_interval", [1, 6])
+def test_final_selection_prefers_a_beam_with_word_tokens(rerank_interval):
+    """``.`` is a word of the vocabulary but not a word token, so its beam
+    would be an output ``simpkit eval`` rejects; ``a`` is in the final pool
+    and is chosen, with reranking every step and vanilla (interval 6 is
+    past ``max_length``)."""
+    lm = TableLM(
+        [".", "a", EOS],
+        {(): [0.5, 0.1, 0.4], (".",): [0, 0, 1], ("a",): [0, 0, 1]},
+    )
+    config = DecoderConfig(
+        beam_width=3, rerank_interval=rerank_interval, max_length=5
+    )
+    result = _assert_matches_oracle(lm, "the cat", config)
+    assert result.tokens == ("a",)
 
 
 _TRAINING_WORDS = st.sampled_from(
@@ -469,6 +512,46 @@ def test_ties_made_by_the_length_penalty_break_on_indices():
     assert _assert_matches_oracle(lm, "x y z", config).tokens == ("x", "y")
 
 
+def test_keys_that_round_together_break_on_indices():
+    """After ``c``, ``b`` has the larger probability but ``a``'s is one ulp
+    below it, and the two log probabilities round to the same sum, so the
+    keys tie and ``a`` wins on index.  A step that stopped walking ``c``'s
+    children by falling probability after the first would keep ``b``."""
+    low = math.nextafter(0.46, 0)
+    assert math.log(low) < math.log(0.46)
+    assert math.log(0.4) + math.log(low) == math.log(0.4) + math.log(0.46)
+    lm = TableLM(
+        ["a", "b", "c", EOS],
+        {(): [0.3, 0.3, 0.4, 0.0], ("c",): [low, 0.46, 0.0, 1.0 - 0.46 - low]},
+        default=[0, 0, 0, 1],
+    )
+    config = DecoderConfig.vanilla(beam_width=1, max_length=3)
+    assert _assert_matches_oracle(lm, "a b c", config).tokens == ("c", "a")
+
+
+def test_a_run_of_equal_probabilities_wider_than_the_beam():
+    """Three tokens share the second-largest probability at width 2.  Only
+    the first of them by index, ``d``, survives step 1 beside ``a``, and it
+    decodes to the best final beam; ``c`` or ``b`` would have done as well
+    had either survived.  A uniform row is one run, of which ``d`` and
+    ``c`` survive step 1; ``c``'s continuation is the best final beam."""
+    lm = TableLM(
+        ["d", "c", "b", "a", EOS],
+        {(): [0.2, 0.2, 0.2, 0.4, 0.0], ("a",): [0.25, 0.25, 0.25, 0.25, 0.0]},
+        default=[0, 0, 0, 0, 1],
+    )
+    config = DecoderConfig.vanilla(beam_width=2, max_length=2)
+    result = _assert_matches_oracle(lm, "a b c d", config)
+    assert result.tokens == ("d",)
+    assert result.log_prob == math.log(0.2)
+    lm = TableLM(
+        ["d", "c", "b", "a", EOS],
+        {(): [0.25] * 4 + [0.0], ("c",): [0, 0, 0, 0, 1]},
+        default=[0, 0, 0, 0.5, 0.5],
+    )
+    assert _assert_matches_oracle(lm, "a b c d", config).tokens == ("c",)
+
+
 def test_beam_search_matches_oracle_on_tied_rows():
     """Rows drawn from a few repeated weights, so equal cumulative log
     probabilities are common and pruning must fall through to indices."""
@@ -520,7 +603,7 @@ def test_ngram_next_distribution_equals_dense_rows(order):
         total = sum(counter.values())
         want = [(counter[w] + 1) / (total + len(lm.vocab)) for w in lm.vocab]
         # The context is its own prefix: padding adds only leading BOS.
-        assert lm.next_distribution(context, "").probs.tolist() == want
+        assert lm.next_distribution(context, "").probs == tuple(want)
 
 
 def test_ngram_orders_past_the_longest_text_give_the_same_rows():
@@ -538,5 +621,5 @@ def test_ngram_orders_past_the_longest_text_give_the_same_rows():
         for _ in range(300)
     ]
     for prefix in prefixes:
-        rows = [lm.next_distribution(prefix, "").probs.tolist() for lm in models]
+        rows = [lm.next_distribution(prefix, "").probs for lm in models]
         assert rows[0] == rows[1] == rows[2], prefix

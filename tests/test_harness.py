@@ -659,6 +659,23 @@ def test_loss_rejects_bad_values(tmp_path, capsys, payload, flags, rc, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["[1" + "0" * 400 + ", 0]", '["0.5", "0.5"]', "[true, false]"],
+    ids=["huge-int", "strings", "bools"],
+)
+def test_loss_rejects_step_rows_that_are_not_probabilities(tmp_path, capsys, row):
+    steps = tmp_path / "steps.json"
+    steps.write_text(
+        '{"vocab": ["a", "b"], "steps": [' + row + '], "nll": 1}', encoding="utf-8"
+    )
+    argv = ["loss", "--steps", str(steps), "--input", "a", "--label", "a"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: steps file:" in err
+    assert "Traceback" not in err
+
+
 def test_help_returns_zero(capsys):
     assert run_cli(["--help"]) == 0
     assert run_cli(["decode", "--help"]) == 0

@@ -1,5 +1,6 @@
 """Composite score, candidate scoring, beam ranking order."""
 
+import dataclasses
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from oracles import composite_brute
 from simpkit.consistency import LexicalScorer, PrecomputedScorer
 from simpkit.rerank import (
     BeamScore,
+    RankedBeam,
     composite_score,
     rank_beams,
     score_candidate,
@@ -139,3 +141,19 @@ def test_rank_beams_monotone_in_consistency(f_b):
         heuristic_on=False,
     )
     assert ranked[0].words == ("cat", "ran")
+
+
+def test_rank_beams_applies_the_heuristic_by_default():
+    beams = [(("the", "cat", "Aspirin"), -1.0)]
+    scorer = LexicalScorer()
+    assert rank_beams(beams, "the cat", scorer)[0].score.hallucination_zeroed
+    ranked = rank_beams(beams, "the cat", scorer, heuristic_on=False)
+    assert not ranked[0].score.hallucination_zeroed
+
+
+def test_scores_and_ranked_beams_are_frozen():
+    score = BeamScore(f_f=0.0, f_b=0.0, r_f=1.0, r_b=0.0, r=0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        score.r = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        RankedBeam(("a",), -1.0, score).log_prob = 0.0

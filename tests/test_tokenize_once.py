@@ -129,6 +129,15 @@ def test_score_candidate_equals_text_level_reference(
     assert got == want
 
 
+@pytest.mark.parametrize("candidate, source", [("aaaa", "aaa"), ("aaa", "aaaa")])
+def test_a_repeated_trigram_scores_as_the_text_level_reference(candidate, source):
+    """``^aaaa$`` holds the trigram ``aaa`` twice, so the dot product of the
+    two profiles weighs it by both counts."""
+    assert LexicalScorer().score(candidate, source) == _lexical_ref(
+        candidate, source
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(_SOURCE, min_size=2, max_size=4),

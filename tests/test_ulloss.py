@@ -39,8 +39,9 @@ def test_step_distribution_argmax_ties_to_lowest_index():
 
 def test_step_distribution_probs_read_only():
     dist = StepDistribution([0.3, 0.7])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         dist.probs[0] = 1.0
+    assert dist.probs == (0.3, 0.7)
 
 
 def test_ul_readability_frozen_one_step():
