@@ -378,6 +378,11 @@ def _cmd_loss(args) -> int:
             isinstance(p, (int, float)) and not isinstance(p, bool) for p in row
         ):
             raise DataError(f"steps file: step {step} must be a list of numbers")
+    if "nll" in payload and (
+        not isinstance(payload["nll"], (int, float))
+        or isinstance(payload["nll"], bool)
+    ):
+        raise DataError("steps file: nll must be a number")
 
     try:
         config = LossConfig(
@@ -397,7 +402,7 @@ def _cmd_loss(args) -> int:
         raise DataError(f"steps file: {exc}") from None
 
     nll = args.nll
-    if nll is None and isinstance(payload.get("nll"), (int, float)):
+    if nll is None and "nll" in payload:
         try:
             nll = float(payload["nll"])
         except OverflowError:  # a JSON integer beyond the float range

@@ -46,24 +46,6 @@ def _trigram_profile(token: str) -> tuple[dict[str, int], float]:
     return dict(counts), float(norm_sq)
 
 
-@lru_cache(maxsize=1 << 20)
-def _token_similarity(a: str, b: str) -> float:
-    """Cosine similarity of the trigram profiles of two tokens."""
-    if a == b:
-        return 1.0
-    counts_a, norm_a = _trigram_profile(a)
-    counts_b, norm_b = _trigram_profile(b)
-    dot = sum(
-        count * counts_b[gram]
-        for gram, count in counts_a.items()
-        if gram in counts_b
-    )
-    if dot == 0:
-        return 0.0
-    sim = dot / math.sqrt(norm_a * norm_b)
-    return min(1.0, max(0.0, sim))
-
-
 class ConsistencyScorer(ABC):
     """Interface: score how well ``candidate`` is supported by ``source``."""
 
@@ -76,31 +58,62 @@ class PreparedSource:
     """One source text, tokenized once, with what scoring reads from it.
 
     Holds the case-folded word tokens in order, their distinct kinds in
-    order of first appearance, and three tables filled on demand for the
-    lexical scorer: each candidate token's trigram similarity to every
-    source kind, that row's maximum (the token's precision term), and the
-    recall of each set of candidate tokens.  Recall is keyed by the set
-    because a column maximum does not depend on the order of the rows:
-    similarities are never ``-0.0`` or NaN.  The tables only memoize pure
-    functions of their keys, so sharing one instance between callers
+    order of first appearance, the surfaces of its numeric tokens, and an
+    inverted index from each character trigram to the kinds holding it
+    (with the trigram's count in each), plus each kind's squared norm.
+
+    The lexical scorer reads three tables filled on demand from the index:
+    each candidate token's similarity row, that row's maximum (the token's
+    precision term), and the recall of each set of candidate tokens.  A row
+    is sparse: it holds the kinds that share a trigram with the token, and
+    the token's own kind at exactly 1.0; every kind it leaves out has a
+    zero dot product, so similarity 0.0.  Its values are exact: a dot
+    product is a sum of integers, whatever order the index visits trigrams
+    in, and each value is ``min(1.0, dot / math.sqrt(norm_token *
+    norm_kind))`` as the cosine is written.  Recall is keyed by the set of
+    tokens because a column maximum does not depend on the order of the
+    rows: similarities are never ``-0.0`` or NaN.  The tables only memoize
+    pure functions of their keys, so sharing one instance between callers
     changes no result.
     """
 
     def __init__(self, text: str):
-        self.words = tuple(tokenize(text).word_surfaces(lowercase=True))
+        tl = tokenize(text)
+        self.words = tuple(tl.word_surfaces(lowercase=True))
         self.kinds = tuple(dict.fromkeys(self.words))
         self._position = {kind: i for i, kind in enumerate(self.kinds)}
         self.kind_positions = tuple(self._position[w] for w in self.words)
-        self._similarities: dict[str, tuple[float, ...]] = {}
+        self._numerals = frozenset(t.surface for t in tl.tokens if t.is_numeric)
+        self._index: dict[str, list[tuple[int, int]]] = {}
+        norms = []
+        for k, kind in enumerate(self.kinds):
+            counts, norm = _trigram_profile(kind)
+            norms.append(norm)
+            for gram, count in counts.items():
+                self._index.setdefault(gram, []).append((k, count))
+        self._norms = tuple(norms)
+        self._similarities: dict[str, dict[int, float]] = {}
         self._row_max: dict[str, float] = {}
         self._recall: dict[frozenset[str], float] = {}
 
-    def similarities(self, token: str) -> tuple[float, ...]:
-        """Trigram similarity of ``token`` to each source kind, in the
-        order of :attr:`kinds`."""
+    def similarities(self, token: str) -> dict[int, float]:
+        """Trigram similarity of ``token`` to the source kinds, keyed by
+        index into :attr:`kinds`; a kind that is absent scores 0.0."""
         row = self._similarities.get(token)
         if row is None:
-            row = tuple(_token_similarity(token, kind) for kind in self.kinds)
+            counts, norm = _trigram_profile(token)
+            dots: dict[int, int] = {}
+            for gram, count in counts.items():
+                for k, kind_count in self._index.get(gram, ()):
+                    dots[k] = dots.get(k, 0) + count * kind_count
+            norms = self._norms
+            row = {
+                k: min(1.0, dot / math.sqrt(norm * norms[k]))
+                for k, dot in dots.items()
+            }
+            own = self._position.get(token)
+            if own is not None:
+                row[own] = 1.0
             self._similarities[token] = row
         return row
 
@@ -108,7 +121,8 @@ class PreparedSource:
         """Best similarity of ``token`` to any source kind."""
         best = self._row_max.get(token)
         if best is None:
-            best = self._row_max[token] = max(self.similarities(token))
+            row = self.similarities(token)
+            best = self._row_max[token] = max(row.values(), default=0.0)
         return best
 
     def _recall_of(self, tokens: frozenset[str]) -> float:
@@ -116,8 +130,11 @@ class PreparedSource:
         ``tokens``, summed in source order."""
         recall = self._recall.get(tokens)
         if recall is None:
-            rows = [self.similarities(tok) for tok in tokens]
-            best = [max(column) for column in zip(*rows)]
+            best = [0.0] * len(self.kinds)
+            for tok in tokens:
+                for k, sim in self.similarities(tok).items():
+                    if sim > best[k]:
+                        best[k] = sim
             recall = sum(best[i] for i in self.kind_positions) / len(
                 self.words
             )
@@ -126,10 +143,14 @@ class PreparedSource:
 
     def unsupported(self, mentions: Mapping[str, Sequence[str]]) -> set[str]:
         """Mentions whose words do not occur contiguously
-        (case-insensitively) in the source words."""
+        (case-insensitively) in the source words.  A mention with no word
+        tokens, such as a numeral whose first digit is not ASCII, is
+        supported only when its surface is a numeric token of the source."""
         missing = set()
         for mention, words in mentions.items():
-            if len(words) == 1:
+            if not words:
+                supported = mention in self._numerals
+            elif len(words) == 1:
                 supported = words[0].lower() in self._position
             else:
                 supported = contains_token_span(self.words, words)
@@ -252,8 +273,9 @@ def unsupported_entities(
     """Entity mentions of ``candidate`` absent from ``source``.
 
     An entity counts as supported when its word tokens occur contiguously
-    (case-insensitively) in the source word-token sequence.  Pass
-    ``candidate_entities`` to skip heuristic extraction and check an
+    (case-insensitively) in the source word-token sequence; one with no
+    word tokens, such as ``٣``, when it is a numeric token of the source.
+    Pass ``candidate_entities`` to skip heuristic extraction and check an
     externally supplied entity list instead.
     """
     if candidate_entities is None:

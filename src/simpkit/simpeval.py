@@ -131,7 +131,20 @@ def _leftmost_lcs_positions(
     ref: Sequence[str], cand: Sequence[str]
 ) -> set[int]:
     """Reference positions of the longest common subsequence, choosing the
-    lexicographically smallest position tuple among maximal alignments."""
+    lexicographically smallest position tuple among maximal alignments.
+
+    Only words the two sentences share can be matched, so the table and
+    the walk run on each side with the other side's missing words dropped,
+    and the positions found map back through the kept reference indices.
+    That map is increasing, so the maximal alignments and their
+    lexicographic order are those of the full sentences.
+    """
+    shared = set(ref).intersection(cand)
+    if not shared:
+        return set()
+    kept = [i for i, word in enumerate(ref) if word in shared]
+    ref = [ref[i] for i in kept]
+    cand = [word for word in cand if word in shared]
     table = _suffix_lcs_table(ref, cand)
     positions: set[int] = set()
     i = j = 0
@@ -140,7 +153,7 @@ def _leftmost_lcs_positions(
         matched = False
         for jp in range(j, m):
             if cand[jp] == ref[i] and 1 + table[i + 1][jp + 1] == table[i][j]:
-                positions.add(i)
+                positions.add(kept[i])
                 i += 1
                 j = jp + 1
                 matched = True

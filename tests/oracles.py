@@ -273,10 +273,15 @@ def _unsupported_ref(candidate, source, candidate_entities):
     else:
         entities = set(candidate_entities)
     source_words = word_tokens(source, lowercase=True)
+    numerals = {t.surface for t in tokenize(source).tokens if t.is_numeric}
     return {
         e
         for e in entities
-        if not contains_token_span(source_words, word_tokens(e))
+        if not (
+            contains_token_span(source_words, word_tokens(e))
+            if word_tokens(e)
+            else e in numerals
+        )
     }
 
 

@@ -179,3 +179,20 @@ def test_unsupported_entities_external_list():
         unsupported_entities("irrelevant", "anything", candidate_entities=[])
         == set()
     )
+
+
+@pytest.mark.parametrize(
+    "candidate, source, want",
+    [
+        ("the cat 3", "the cat", {"3"}),
+        ("the cat ٣", "the cat", {"٣"}),
+        ("the cat ٣", "cat ٣ here", set()),
+        ("the cat ٣.٤", "the cat ٣", {"٣.٤"}),
+    ],
+)
+def test_a_numeral_without_word_tokens_needs_the_same_numeral_in_the_source(
+    candidate, source, want
+):
+    # "٣" starts with a digit that is not ASCII, so it has no word tokens
+    # and only a numeric token of the source can support it
+    assert unsupported_entities(candidate, source) == want

@@ -637,6 +637,10 @@ def test_undecodable_files_are_data_errors(tmp_path, capsys, name):
          "nll must be finite"),
         ('{"vocab": ["a"], "steps": [[1.0]], "nll": 1' + "0" * 400 + "}", [], 2,
          "nll must be finite"),
+        ('{"vocab": ["a"], "steps": [[1.0]], "nll": true}', [], 2,
+         "steps file: nll must be a number"),
+        ('{"vocab": ["a"], "steps": [[1.0]], "nll": "3.5"}', [], 2,
+         "steps file: nll must be a number"),
         ('{"vocab": [""], "steps": [[1.0]], "nll": 1}', [], 2,
          "non-empty strings"),
         ('{"vocab": ["a"], "steps": [[1.0]]}', ["--nll", "nan"], 1,
@@ -648,7 +652,8 @@ def test_undecodable_files_are_data_errors(tmp_path, capsys, name):
         ('{"vocab": ["a"], "steps": [[1.0]], "nll": 1}', ["--lambda-c", "nan"],
          1, "error: lambda_c must be finite and >= 0, got nan"),
     ],
-    ids=["list-target", "zero-target", "inf-nll", "huge-nll", "empty-word",
+    ids=["list-target", "zero-target", "inf-nll", "huge-nll", "bool-nll",
+         "string-nll", "empty-word",
          "nan-flag", "nan-lambda-r", "inf-lambda-r", "nan-lambda-c"],
 )
 def test_loss_rejects_bad_values(tmp_path, capsys, payload, flags, rc, message):

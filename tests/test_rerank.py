@@ -90,6 +90,15 @@ def test_score_candidate_supported_entity_not_zeroed():
     assert not score.hallucination_zeroed
 
 
+def test_score_candidate_zeroes_an_unsupported_numeral_without_word_tokens():
+    words = ("the", "cat", "٣")
+    zeroed = score_candidate(words, "the cat", LexicalScorer())
+    assert zeroed.hallucination_zeroed
+    assert zeroed.r == 0.0
+    kept = score_candidate(words, "cat ٣ here", LexicalScorer())
+    assert not kept.hallucination_zeroed
+
+
 def test_rank_beams_orders_by_composite_then_log_prob():
     scorer = PrecomputedScorer({"good one": 0.9, "bad one": 0.5, "also good": 0.9})
     beams = [

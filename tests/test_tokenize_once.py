@@ -8,7 +8,9 @@ a candidate of plain words from per-word facts, and prepares each source
 text once; every value must be equal, not merely close.
 """
 
+import itertools
 import math
+import random
 import sys
 from collections import Counter
 
@@ -16,10 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import _score_candidate_ref, _unsupported_ref
+from oracles import (
+    _score_candidate_ref,
+    _unsupported_ref,
+    fourgram_overlap_brute,
+    lcs_positions_brute,
+    rouge_lsum_brute,
+    sari_brute,
+)
 from simpkit import rerank, textseg
 from simpkit.consistency import (
     LexicalScorer,
+    PreparedSource,
     prepare_source,
     unsupported_entities,
 )
@@ -28,6 +38,7 @@ from simpkit.decoder import DecoderConfig, NGramLM, beam_search
 from simpkit.readability import ari, flesch_kincaid
 from simpkit.rerank import score_candidate
 from simpkit.simpeval import (
+    _leftmost_lcs_positions,
     evaluate_corpus,
     fourgram_overlap,
     rouge_lsum,
@@ -174,6 +185,65 @@ def test_entity_mention_words_are_their_own_tokenization(text, aware):
         assert list(words) == word_tokens(mention)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_SOURCE, _WORDS)
+def test_similarity_rows_are_the_reference_cosine_on_every_kind(source, words):
+    prepared = PreparedSource(source)
+    kinds = prepared.kinds
+    tokens = word_tokens(" ".join(words), lowercase=True) + list(kinds)
+    for token in tokens:
+        row = prepared.similarities(token)
+        # a row holds only kinds with a nonzero similarity; every kind it
+        # leaves out has similarity 0.0
+        assert set(row) <= set(range(len(kinds)))
+        assert all(value > 0.0 for value in row.values())
+        assert [row.get(k, 0.0) for k in range(len(kinds))] == [
+            _trigram_similarity_ref(token, kind) for kind in kinds
+        ]
+
+
+def _consonant_source():
+    """A source of 500 kinds: 498 three-letter words with no vowel, then
+    ``cat`` and ``hat``."""
+    consonants = "bcdfghjklmnpqrstvwxz"
+    words = ["".join(w) for w in itertools.product(consonants, repeat=3)]
+    return PreparedSource(" ".join(words[:498] + ["cat", "hat"]))
+
+
+def test_a_token_sharing_no_trigram_stores_an_empty_row():
+    prepared = _consonant_source()
+    assert len(prepared.kinds) == 500
+    assert prepared.similarities("ooo") == {}
+    assert prepared._similarities["ooo"] == {}
+
+
+def test_a_token_sharing_trigrams_with_two_kinds_stores_two_entries():
+    prepared = _consonant_source()
+    # "at" shares only the trigram "at$", with "cat" and "hat"
+    row = prepared.similarities("at")
+    assert set(row) == {498, 499}
+    assert prepared._similarities["at"] == row
+    assert row[498] == _trigram_similarity_ref("at", "cat")
+
+
+def _mostly_own(prefix):
+    """Words drawn mostly from a vocabulary of their own, sometimes from
+    three words the other side can also hold."""
+    own = st.integers(0, 30).map(lambda i: f"{prefix}{i}")
+    return st.lists(
+        st.one_of(own, own, own, st.sampled_from(("a", "b", "c"))),
+        max_size=12,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mostly_own("r"), _mostly_own("o"))
+def test_lcs_positions_over_mostly_unshared_words_equal_the_brute_force(
+    ref, cand
+):
+    assert _leftmost_lcs_positions(ref, cand) == lcs_positions_brute(ref, cand)
+
+
 # ---------------------------------------------------------------------------
 # plain words: scored from their words, equal to scoring their joined text
 
@@ -287,6 +357,93 @@ def test_evaluate_corpus_rows_equal_the_text_level_metrics():
         assert row.sari == sari(doc.input, output, [doc.label])
         assert row.rouge_lsum == rouge_lsum(output, doc.label)
         assert row.fourgram == fourgram_overlap(output, doc.input)
+
+
+_LONG_NAMES = (
+    "Dr. Lee", "John Smith", "Prof. Adams", "Mary Chen", "New York", "Advil",
+    "Aspirin", "St. Jude", "Fig. 3", "No. 12",
+)
+_LONG_SOURCE = (
+    "{a} gave {x} mg of {b}, e.g. after a meal, to the patients in the ward "
+    "at {y} p.m. on most days of the long and difficult trial.",
+    "The measured dose was approx. {x} times the usual one, i.e. much higher "
+    "than {c} had advised in the report of {z} to the board.",
+    "Compared with {b} vs. a placebo, the effect grew by {y} percent over "
+    "the first {z} weeks, cf. the results that {a} published.",
+    "Most of the staff at {c} said that the new plan was safe, and the nurses "
+    "agreed with {a} that the care was good.",
+    "In {z} the team met {c} again to check the figures of the study, and "
+    "they found that {x} of the samples were lost.",
+    "After that, {b} was given to every patient who had a fever above {y} "
+    "degrees, as {a} and {c} had planned together.",
+    "The final report, written by {a}, lists {x} side effects and {z} cases "
+    "where the dose of {b} was too high for a child.",
+)
+_LONG_LABEL = (
+    "{a} gave {b} to the patients.",
+    "The dose was {x} times too high.",
+    "{b} worked better than a placebo.",
+    "The staff said the plan was safe.",
+    "Some samples were lost.",
+    "The report lists {x} side effects.",
+)
+
+
+def _long_documents(count, seed):
+    """Documents whose sources run to more than 100 words over seven long
+    sentences with abbreviations, decimals and names, with references of
+    short sentences and outputs that mix both."""
+    rng = random.Random(seed)
+    docs, outputs = [], []
+    for k in range(count):
+        slots = {
+            "a": rng.choice(_LONG_NAMES),
+            "b": rng.choice(_LONG_NAMES),
+            "c": rng.choice(_LONG_NAMES),
+            "x": f"{rng.randint(0, 99)}.{rng.randint(0, 99)}",
+            "y": str(rng.randint(2, 999)),
+            "z": str(rng.randint(1900, 2024)),
+        }
+        source = [s.format(**slots) for s in _LONG_SOURCE]
+        label = [s.format(**slots) for s in _LONG_LABEL]
+        clipped = " ".join(rng.choice(source).split()[:9]) + "."
+        output = [
+            rng.choice(label),
+            clipped,
+            f"{rng.choice(_LONG_NAMES)} saw {rng.randint(0, 9)}.5 cases.",
+            rng.choice(label).replace("the", rng.choice(("a", "one", "the"))),
+        ]
+        rng.shuffle(output)
+        docs.append(
+            Document(id=f"long{k}", input=" ".join(source), label=" ".join(label))
+        )
+        outputs.append(" ".join(output))
+    return docs, outputs
+
+
+def test_evaluate_corpus_on_long_documents_equals_the_brute_force_metrics():
+    docs, outputs = _long_documents(40, seed=5)
+    assert len({d.input for d in docs}) > 32
+    assert all(len(word_tokens(d.input)) > 100 for d in docs)
+    want = [
+        (
+            _lexical_ref(output, doc.input),
+            sari_brute(doc.input, output, [doc.label]),
+            rouge_lsum_brute(output, doc.label),
+            fourgram_overlap_brute(output, doc.input),
+        )
+        for doc, output in zip(docs, outputs)
+    ]
+    scorer = LexicalScorer()
+    # 40 sources cycle through the 32-entry prepare_source cache, so the
+    # second run prepares every source again
+    for _ in range(2):
+        report = evaluate_corpus(docs, outputs, scorer)
+        got = [
+            (row.consistency, row.sari, row.rouge_lsum, row.fourgram)
+            for _, row in report.rows
+        ]
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
